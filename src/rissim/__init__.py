@@ -5,71 +5,21 @@ Generates 3D geometry-based stochastic channels for the Tx-RIS, RIS-Rx
 optimally and estimates achievable rate via Monte Carlo experiments.
 """
 
-from .array_response import ElementPattern, element_gain, steering_vector
 from .channel import (
-    ChannelRealization,
     FieldRegime,
-    LinkMetadata,
-    nearfield_plate_gain,
     ris_rx_farfield,
     ris_rx_nearfield,
-    select_field_regime,
     siso_channel,
     tx_ris_channel,
 )
 from .experiment import (
     ExperimentConfig,
-    RateStats,
-    SweepPoint,
-    SweepResult,
     figure_presets,
     generate_realization,
     run_experiment,
 )
-from .geometry import (
-    SPEED_OF_LIGHT,
-    CarrierConfig,
-    PanelGeometry,
-    Point3,
-    SphericalAngles,
-    distance_2d,
-    distance_3d,
-    element_positions,
-    fraunhofer_distance,
-    los_angles,
-)
-from .largescale import (
-    Environment,
-    LargeScaleParams,
-    LinkState,
-    ScenarioParams,
-    assign_link_state,
-    draw_lsps,
-    load_scenario_params,
-    load_scenario_params_file,
-    los_probability,
-    nearest_psd_correlation,
-    path_loss_db,
-)
-from .link import (
-    LinkBudget,
-    LinkResult,
-    RisResponse,
-    achievable_rate,
-    evaluate_link,
-    optimal_phases,
-    received_snr,
-    simulate_symbol,
-)
-from .oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
-from .smallscale import (
-    ClusterSet,
-    build_cluster_set,
-    cluster_powers,
-    draw_delays,
-    draw_phases,
-    draw_ray_angles,
-    filter_front_hemisphere,
-)
+from .geometry import CarrierConfig, PanelGeometry, Point3
+from .largescale import Environment, load_scenario_params, load_scenario_params_file
+from .link import LinkBudget, evaluate_link
 
 __version__ = "0.1.0"

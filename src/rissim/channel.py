@@ -279,12 +279,29 @@ def siso_channel(
     return value, meta
 
 
-def nearfield_plate_gain(center: Point3, side: float, rx: Point3) -> float:
-    """Exact captured-power fraction |g|^2 of one square plate.
+def _plate_gain(dx, dz, y: float, side: float) -> np.ndarray:
+    """Exact captured-power fraction |g|^2 of square plates on a constant-y plane.
 
-    Closed-form area integral of the near-field power density over a plate
-    of the given side length centered at ``center`` on a constant-y plane,
-    seen from ``rx``. Polarization mismatch is embedded in the expression.
+    Closed-form area integral of the near-field power density over plates of
+    the given side length, centered at offsets ``dx``, ``dz`` (plate
+    center minus receiver; scalars or arrays) at perpendicular distance
+    ``y`` > 0 from the receiver. Polarization mismatch is embedded in the
+    expression.
+    """
+    half = side / 2.0
+    total = np.zeros(np.shape(dx))
+    for x in (half + dx, half - dx):
+        for z in (half + dz, half - dz):
+            u = x / y
+            v = z / y
+            root = np.sqrt(u * u + v * v + 1.0)
+            total += (u * v) / (3.0 * (v * v + 1.0) * root)
+            total += (2.0 / 3.0) * np.arctan2(u * v, root)
+    return total / (4.0 * np.pi)
+
+
+def nearfield_plate_gain(center: Point3, side: float, rx: Point3) -> float:
+    """Exact captured-power fraction |g|^2 of one square plate seen from ``rx``.
 
     Raises:
         ValueError: if the receiver lies in the plate plane.
@@ -292,17 +309,7 @@ def nearfield_plate_gain(center: Point3, side: float, rx: Point3) -> float:
     y = abs(center.y - rx.y)
     if y == 0.0:
         raise ValueError("receiver lies in the panel plane")
-    xs = (side / 2.0 + center.x - rx.x, side / 2.0 + rx.x - center.x)
-    zs = (side / 2.0 + center.z - rx.z, side / 2.0 + rx.z - center.z)
-    total = 0.0
-    for x in xs:
-        for z in zs:
-            u = x / y
-            v = z / y
-            root = math.sqrt(u * u + v * v + 1.0)
-            total += (u * v) / (3.0 * (v * v + 1.0) * root)
-            total += (2.0 / 3.0) * math.atan2(u * v, root)
-    return total / (4.0 * math.pi)
+    return float(_plate_gain(center.x - rx.x, center.z - rx.z, y, side))
 
 
 def ris_rx_nearfield(
@@ -311,7 +318,7 @@ def ris_rx_nearfield(
     """Deterministic near-field RIS-Rx channel vector g, shape (N,).
 
     A pure LOS link: each element contributes the exact-aperture amplitude
-    from ``nearfield_plate_gain`` and the geometric phase
+    sqrt(``_plate_gain``) of its plate and the geometric phase
     2*pi*mod(distance/lambda, 1), applied with a negative sign.
 
     Raises:
@@ -326,16 +333,7 @@ def ris_rx_nearfield(
 
     dx = grid[:, 0] - rx.x
     dz = grid[:, 2] - rx.z
-    half = panel.spacing / 2.0
-    total = np.zeros(panel.n_elements)
-    for x in (half + dx, half - dx):
-        for z in (half + dz, half - dz):
-            u = x / y
-            v = z / y
-            root = np.sqrt(u * u + v * v + 1.0)
-            total += (u * v) / (3.0 * (v * v + 1.0) * root)
-            total += (2.0 / 3.0) * np.arctan2(u * v, root)
-    magnitudes = np.sqrt(total / (4.0 * np.pi))
+    magnitudes = np.sqrt(_plate_gain(dx, dz, y, panel.spacing))
 
     dist = np.sqrt(dx * dx + y * y + dz * dz)
     gamma = 2.0 * np.pi * np.mod(dist / carrier.wavelength_m, 1.0)

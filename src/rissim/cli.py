@@ -13,9 +13,9 @@ import numpy as np
 from .experiment import ExperimentConfig, figure_presets, run_experiment
 from .geometry import Point3
 from .largescale import Environment, load_scenario_params
-from .link import LinkBudget, optimal_phases, received_snr
-from .oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
 from .channel import nearfield_plate_gain
+from .link import LinkBudget, evaluate_link
+from .oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -61,12 +61,18 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return replace(config, master_seed=seed, trials=trials)
 
 
-def _emit(stats, args) -> None:
-    if args.output:
-        stats.write(args.output, args.format)
-    else:
-        text = stats.to_csv_text() if args.format == "csv" else stats.to_json_text()
-        sys.stdout.write(text)
+def _run_and_emit(config: ExperimentConfig, args) -> int:
+    try:
+        stats = run_experiment(config, workers=args.workers)
+        if args.output:
+            stats.write(args.output, args.format)
+        else:
+            text = stats.to_csv_text() if args.format == "csv" else stats.to_json_text()
+            sys.stdout.write(text)
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
@@ -77,13 +83,7 @@ def _cmd_run(args) -> int:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:
-        stats = run_experiment(config, workers=args.workers)
-        _emit(stats, args)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    return EXIT_OK
+    return _run_and_emit(config, args)
 
 
 def _cmd_preset(args) -> int:
@@ -99,13 +99,7 @@ def _cmd_preset(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:
-        stats = run_experiment(config, workers=args.workers)
-        _emit(stats, args)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    return EXIT_OK
+    return _run_and_emit(config, args)
 
 
 def _cmd_list_presets() -> int:
@@ -162,12 +156,12 @@ def _cmd_validate() -> int:
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         h_siso = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        snr_opt = received_snr(h, g, optimal_phases(h, g, h_siso), h_siso, budget)
+        snr_opt = evaluate_link(h, g, h_siso, budget).snr_linear
         snr_grid = phase_grid_search(h, g, h_siso, 100, budget)
         gap = (snr_opt - snr_grid) / snr_opt
         worst_gap = max(worst_gap, abs(gap))
         ok = ok and snr_opt >= snr_grid - 1e-12 and abs(gap) < 1e-3
-    report("closed-form phases beat grid search", ok, f"worst gap {worst_gap:.2e}")
+    report("closed-form SNR beats grid search", ok, f"worst gap {worst_gap:.2e}")
 
     ok = True
     for env in Environment:

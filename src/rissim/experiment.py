@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -171,6 +171,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
         def point(key):
             x, y, z = raw[key]
             return Point3(float(x), float(y), float(z))
@@ -215,34 +219,25 @@ class RateStats:
     preset: str
     rows: list = field(default_factory=list)
 
-    @staticmethod
-    def _fmt(value) -> str:
-        if isinstance(value, float):
-            return format(value, ".9g")
-        return str(value)
+    def _records(self):
+        """(values in CSV_COLUMNS order, error) for every row."""
+        for row in self.rows:
+            p = row.point
+            values = (
+                self.preset, p.ris_x, p.ris_y, p.ris_z, p.p_t_dbm, p.n_elements,
+                row.mean_rate_bps_hz, row.std_rate, row.mean_snr_db,
+                row.los_fraction_txris, row.los_fraction_txrx, row.regime,
+                row.trials, row.seed,
+            )
+            yield values, row.error
 
     def to_csv_text(self) -> str:
-        out = StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.rows:
-            values = (
-                self.preset,
-                row.point.ris_x,
-                row.point.ris_y,
-                row.point.ris_z,
-                row.point.p_t_dbm,
-                row.point.n_elements,
-                row.mean_rate_bps_hz,
-                row.std_rate,
-                row.mean_snr_db,
-                row.los_fraction_txris,
-                row.los_fraction_txrx,
-                row.regime,
-                row.trials,
-                row.seed,
-            )
-            out.write(",".join(self._fmt(v) for v in values) + "\n")
-        return out.getvalue()
+        def fmt(value) -> str:
+            return format(value, ".9g") if isinstance(value, float) else str(value)
+
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(fmt(v) for v in values) for values, _ in self._records()]
+        return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
         def encode(value):
@@ -250,27 +245,10 @@ class RateStats:
                 return None
             return value
 
-        rows = []
-        for row in self.rows:
-            rows.append(
-                {
-                    "preset": self.preset,
-                    "ris_x": row.point.ris_x,
-                    "ris_y": row.point.ris_y,
-                    "ris_z": row.point.ris_z,
-                    "p_t_dbm": row.point.p_t_dbm,
-                    "n_elements": row.point.n_elements,
-                    "mean_rate_bps_hz": encode(row.mean_rate_bps_hz),
-                    "std_rate": encode(row.std_rate),
-                    "mean_snr_db": encode(row.mean_snr_db),
-                    "los_fraction_txris": encode(row.los_fraction_txris),
-                    "los_fraction_txrx": encode(row.los_fraction_txrx),
-                    "regime": row.regime,
-                    "trials": row.trials,
-                    "seed": row.seed,
-                    "error": row.error,
-                }
-            )
+        rows = [
+            {**{k: encode(v) for k, v in zip(CSV_COLUMNS, values)}, "error": error}
+            for values, error in self._records()
+        ]
         return json.dumps({"preset": self.preset, "rows": rows}, indent=2) + "\n"
 
     def write(self, path, fmt: str = "csv") -> None:
@@ -285,6 +263,86 @@ def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
     return tuple(np.random.default_rng(s) for s in base.spawn(3))
 
 
+class _PointChannels:
+    """Per-point constants of one sweep point and its trial generator.
+
+    ``place`` builds the panel, selects the RIS-Rx regime and computes the
+    deterministic near-field ``g`` once; ``trial`` draws one trial's three
+    channels from that trial's RNG streams. Without elements (the no-RIS
+    baseline) ``h`` and ``g`` are empty. ``place`` is apart from the
+    constructor so that a point whose geometry fails still reports the
+    regime selected before the failure.
+    """
+
+    def __init__(self, config: ExperimentConfig, sweep_index: int):
+        self.config = config
+        self.sweep_index = sweep_index
+        self.carrier = CarrierConfig(config.f_c_ghz)
+        self.pattern = ElementPattern(config.element_pattern_q)
+        self.panel = None
+        self.regime = FieldRegime.FAR_FIELD
+        self.near = None
+
+    @property
+    def regime_name(self) -> str:
+        return self.regime.value if self.panel is not None else "none"
+
+    def place(self, point: SweepPoint) -> "_PointChannels":
+        if point.n_elements > 0:
+            config = self.config
+            self.panel = PanelGeometry.centered(
+                Point3(point.ris_x, point.ris_y, point.ris_z),
+                point.n_elements,
+                config.spacing(),
+                config.boresight,
+            )
+            self.regime = select_field_regime(
+                self.panel, config.rx, self.carrier, config.regime_override
+            )
+            if self.regime is FieldRegime.NEAR_FIELD:
+                self.near = ris_rx_nearfield(self.panel, config.rx, self.carrier)
+        return self
+
+    def trial(self, trial: int) -> ChannelRealization:
+        config = self.config
+        rng_h, rng_siso, rng_g = _trial_rngs(config.master_seed, self.sweep_index, trial)
+        if self.panel is None:
+            h = g = np.zeros(0, dtype=complex)
+            meta_h = meta_g = None
+        else:
+            h, meta_h = tx_ris_channel(
+                config.environment,
+                config.tx,
+                self.panel,
+                self.carrier,
+                rng_h,
+                pattern=self.pattern,
+                convention=config.steering_convention,
+            )
+            if self.near is not None:
+                g, meta_g = self.near
+            else:
+                g, meta_g = ris_rx_farfield(
+                    config.environment,
+                    self.panel,
+                    config.rx,
+                    self.carrier,
+                    rng_g,
+                    pattern=self.pattern,
+                    convention=config.steering_convention,
+                )
+        h_siso, meta_siso = siso_channel(
+            config.environment, config.tx, config.rx, self.carrier, rng_siso
+        )
+        return ChannelRealization(
+            h=h,
+            g=g,
+            g_regime=self.regime,
+            h_siso=h_siso,
+            metadata={"tx_ris": meta_h, "ris_rx": meta_g, "tx_rx": meta_siso},
+        )
+
+
 def generate_realization(
     config: ExperimentConfig,
     point: SweepPoint,
@@ -292,124 +350,34 @@ def generate_realization(
     trial: int,
 ) -> ChannelRealization:
     """Generate the full channel realization for one (sweep point, trial)."""
-    carrier = CarrierConfig(config.f_c_ghz)
-    rng_h, rng_siso, rng_g = _trial_rngs(config.master_seed, sweep_index, trial)
-    pattern = ElementPattern(config.element_pattern_q)
-
-    if point.n_elements > 0:
-        panel = PanelGeometry.centered(
-            Point3(point.ris_x, point.ris_y, point.ris_z),
-            point.n_elements,
-            config.spacing(),
-            config.boresight,
-        )
-        regime = select_field_regime(panel, config.rx, carrier, config.regime_override)
-        h, meta_h = tx_ris_channel(
-            config.environment,
-            config.tx,
-            panel,
-            carrier,
-            rng_h,
-            pattern=pattern,
-            convention=config.steering_convention,
-        )
-        if regime is FieldRegime.NEAR_FIELD:
-            g, meta_g = ris_rx_nearfield(panel, config.rx, carrier)
-        else:
-            g, meta_g = ris_rx_farfield(
-                config.environment,
-                panel,
-                config.rx,
-                carrier,
-                rng_g,
-                pattern=pattern,
-                convention=config.steering_convention,
-            )
-    else:
-        regime = FieldRegime.FAR_FIELD
-        h = np.zeros(0, dtype=complex)
-        g = np.zeros(0, dtype=complex)
-        meta_h = None
-        meta_g = None
-
-    h_siso, meta_siso = siso_channel(
-        config.environment, config.tx, config.rx, carrier, rng_siso
-    )
-    return ChannelRealization(
-        h=h,
-        g=g,
-        g_regime=regime,
-        h_siso=h_siso,
-        metadata={"tx_ris": meta_h, "ris_rx": meta_g, "tx_rx": meta_siso},
-    )
+    return _PointChannels(config, sweep_index).place(point).trial(trial)
 
 
 def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) -> SweepResult:
-    carrier = CarrierConfig(config.f_c_ghz)
     budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
-    pattern = ElementPattern(config.element_pattern_q)
+    channels = _PointChannels(config, index)
     trials = config.trials
 
     rates = np.empty(trials)
     snrs = np.empty(trials)
     los_h = 0
     los_siso = 0
-    regime_name = "none"
 
     try:
-        panel = None
-        g_near = None
-        if point.n_elements > 0:
-            panel = PanelGeometry.centered(
-                Point3(point.ris_x, point.ris_y, point.ris_z),
-                point.n_elements,
-                config.spacing(),
-                config.boresight,
-            )
-            regime = select_field_regime(panel, config.rx, carrier, config.regime_override)
-            regime_name = regime.value
-            if regime is FieldRegime.NEAR_FIELD:
-                g_near, _ = ris_rx_nearfield(panel, config.rx, carrier)
-
+        channels.place(point)
         for t in range(trials):
-            rng_h, rng_siso, rng_g = _trial_rngs(config.master_seed, index, t)
-            if panel is not None:
-                h, meta_h = tx_ris_channel(
-                    config.environment,
-                    config.tx,
-                    panel,
-                    carrier,
-                    rng_h,
-                    pattern=pattern,
-                    convention=config.steering_convention,
-                )
-                los_h += meta_h.state.los
-                if g_near is not None:
-                    g = g_near
-                else:
-                    g, _ = ris_rx_farfield(
-                        config.environment,
-                        panel,
-                        config.rx,
-                        carrier,
-                        rng_g,
-                        pattern=pattern,
-                        convention=config.steering_convention,
-                    )
-            else:
-                h = np.zeros(0, dtype=complex)
-                g = np.zeros(0, dtype=complex)
-            h_siso, meta_siso = siso_channel(
-                config.environment, config.tx, config.rx, carrier, rng_siso
-            )
-            los_siso += meta_siso.state.los
-            result = evaluate_link(h, g, h_siso, budget)
+            real = channels.trial(t)
+            meta = real.metadata
+            if meta["tx_ris"] is not None:
+                los_h += meta["tx_ris"].state.los
+            los_siso += meta["tx_rx"].state.los
+            result = evaluate_link(real.h, real.g, real.h_siso, budget)
             rates[t] = result.rate_bps_hz
             snrs[t] = result.snr_linear
     except ValueError as exc:
         nan = float("nan")
         return SweepResult(
-            index, point, nan, nan, nan, nan, nan, regime_name, trials,
+            index, point, nan, nan, nan, nan, nan, channels.regime_name, trials,
             config.master_seed, error=str(exc),
         )
 
@@ -422,14 +390,10 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
         mean_snr_db=10.0 * math.log10(mean_snr) if mean_snr > 0 else float("-inf"),
         los_fraction_txris=los_h / trials if point.n_elements > 0 else float("nan"),
         los_fraction_txrx=los_siso / trials,
-        regime=regime_name,
+        regime=channels.regime_name,
         trials=trials,
         seed=config.master_seed,
     )
-
-
-def _run_sweep_point_args(args) -> SweepResult:
-    return _run_sweep_point(*args)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
@@ -440,12 +404,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     the output is identical for any worker count.
     """
     points = config.sweep_points()
-    tasks = [(config, i, p) for i, p in enumerate(points)]
+    indices = range(len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point_args, tasks))
+            rows = list(pool.map(_run_sweep_point, repeat(config), indices, points))
     else:
-        rows = [_run_sweep_point(*task) for task in tasks]
+        rows = list(map(_run_sweep_point, repeat(config), indices, points))
     rows.sort(key=lambda r: r.index)
     return RateStats(preset=config.name, rows=rows)
 

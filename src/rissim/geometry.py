@@ -187,16 +187,6 @@ def los_angles(panel: PanelGeometry, source: Point3) -> SphericalAngles:
     return SphericalAngles(zenith, azimuth)
 
 
-def element_positions(panel: PanelGeometry) -> list[Point3]:
-    """All N element positions, row-major from the bottom-left corner."""
-    return [Point3(x, y, z) for x, y, z in panel.element_grid()]
-
-
 def fraunhofer_distance(panel: PanelGeometry, carrier: CarrierConfig) -> float:
     """Far-field (Fraunhofer) distance N*lambda/2 of a square RIS [m]."""
     return panel.n_elements * carrier.wavelength_m / 2.0
-
-
-def is_in_front(panel: PanelGeometry, point: Point3) -> bool:
-    """True if ``point`` lies in the closed front half-space of the panel."""
-    return panel.boresight_sign * (point.y - panel.first_element.y) >= 0.0

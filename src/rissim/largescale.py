@@ -152,37 +152,15 @@ def _angle_constants() -> dict:
     return _data_file("angle_generation.json")
 
 
-_KEY_ALIASES = {
-    "cluster_count": ("cluster_count", "C"),
-    "rays_per_cluster": ("rays_per_cluster", "S"),
-    "delay_scaling": ("delay_scaling", "r_tau"),
-    "per_cluster_shadowing_db": ("per_cluster_shadowing_db", "zeta_db"),
-    "c_asa_deg": ("c_asa_deg", "c_ASA"),
-    "c_zsa_deg": ("c_zsa_deg", "c_ZSA"),
-    "lsp": ("lsp", "lsp_table"),
-}
-
-
-def _get(raw: dict, key: str):
-    for alias in _KEY_ALIASES.get(key, (key,)):
-        if alias in raw:
-            return raw[alias]
-    raise KeyError(key)
-
-
 def scenario_params_from_dict(raw: dict) -> ScenarioParams:
-    """Build ScenarioParams from the JSON data-file schema.
-
-    Short key spellings (C, S, r_tau, zeta_db, c_ASA, c_ZSA, lsp_table) are
-    accepted as aliases of the long ones.
-    """
+    """Build ScenarioParams from the JSON data-file schema."""
     env = Environment(raw["environment"])
     los = raw["los_state"].upper() == "LOS"
     order = raw.get("lsp_order", list(LSP_ORDER))
     if tuple(order) != LSP_ORDER:
         raise ValueError(f"lsp_order must be {list(LSP_ORDER)}")
     consts = _angle_constants()
-    c = int(_get(raw, "cluster_count"))
+    c = int(raw["cluster_count"])
     c_phi = raw.get("c_phi_nlos")
     c_theta = raw.get("c_theta_nlos")
     if c_phi is None:
@@ -201,16 +179,16 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
                 f"no zenith scaling constant for {c} clusters; "
                 "supply c_theta_nlos explicitly"
             ) from None
-    lsp = _get(raw, "lsp")
+    lsp = raw["lsp"]
     return ScenarioParams(
         environment=env,
         los=los,
         cluster_count=c,
-        rays_per_cluster=int(_get(raw, "rays_per_cluster")),
-        delay_scaling=float(_get(raw, "delay_scaling")),
-        per_cluster_shadowing_db=float(_get(raw, "per_cluster_shadowing_db")),
-        c_asa_deg=float(_get(raw, "c_asa_deg")),
-        c_zsa_deg=float(_get(raw, "c_zsa_deg")),
+        rays_per_cluster=int(raw["rays_per_cluster"]),
+        delay_scaling=float(raw["delay_scaling"]),
+        per_cluster_shadowing_db=float(raw["per_cluster_shadowing_db"]),
+        c_asa_deg=float(raw["c_asa_deg"]),
+        c_zsa_deg=float(raw["c_zsa_deg"]),
         lsp_means={k: float(lsp[k]["mean"]) for k in LSP_ORDER},
         lsp_stds={k: float(lsp[k]["std"]) for k in LSP_ORDER},
         cross_correlation=np.array(raw["cross_correlation"], dtype=float),

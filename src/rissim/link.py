@@ -1,4 +1,4 @@
-"""RIS phase configuration, received SNR, achievable rate and symbol model."""
+"""Link budget, optimal RIS phases, received SNR and achievable rate."""
 
 from __future__ import annotations
 
@@ -24,28 +24,6 @@ class LinkBudget:
 
 
 @dataclass(frozen=True)
-class RisResponse:
-    """Per-element magnitude (in [0, 1]) and phase shift of the RIS."""
-
-    magnitudes: np.ndarray
-    phases_rad: np.ndarray
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=float)
-        phases = np.asarray(self.phases_rad, dtype=float)
-        if mags.shape != phases.shape:
-            raise ValueError("magnitudes and phases must have equal length")
-        if np.any(mags < 0.0) or np.any(mags > 1.0):
-            raise ValueError("magnitudes must lie in [0, 1]")
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "phases_rad", phases)
-
-    def coefficients(self) -> np.ndarray:
-        """Diagonal of the response matrix: beta_n * exp(j alpha_n)."""
-        return self.magnitudes * np.exp(1j * self.phases_rad)
-
-
-@dataclass(frozen=True)
 class LinkResult:
     """SNR/rate of one configured realization plus component magnitudes."""
 
@@ -55,12 +33,14 @@ class LinkResult:
     ris_path_magnitude: float
 
 
-def optimal_phases(h: np.ndarray, g: np.ndarray, h_siso: complex) -> RisResponse:
+def optimal_phases(h: np.ndarray, g: np.ndarray, h_siso: complex) -> np.ndarray:
     """SNR-maximizing RIS phases: align every reflected term with the direct path.
 
-    alpha_n = arg(h_siso) - arg(h_n * g_n), with unit magnitudes. When the
-    direct channel is zero the terms are aligned to zero phase instead, and
-    elements with a vanishing product get a zero phase shift.
+    alpha_n = arg(h_siso) - arg(h_n * g_n); the RIS magnitudes are one. When
+    the direct channel is zero the terms are aligned to zero phase instead,
+    and elements with a vanishing product get a zero phase shift. Together
+    with ``received_snr`` this is the explicit-phase oracle of the closed
+    form in ``evaluate_link``.
     """
     h = np.asarray(h, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -68,21 +48,23 @@ def optimal_phases(h: np.ndarray, g: np.ndarray, h_siso: complex) -> RisResponse
         raise ValueError("h and g must have equal length")
     product = h * g
     reference = np.angle(h_siso) if h_siso != 0 else 0.0
-    phases = np.where(product != 0, reference - np.angle(product), 0.0)
-    return RisResponse(np.ones_like(phases, dtype=float), phases)
+    return np.where(product != 0, reference - np.angle(product), 0.0)
 
 
 def received_snr(
     h: np.ndarray,
     g: np.ndarray,
-    theta: RisResponse,
+    phases_rad: np.ndarray,
     h_siso: complex,
     budget: LinkBudget,
 ) -> float:
-    """Instantaneous received SNR p_t * |g^T Theta h + h_siso|^2 / n_0."""
+    """Instantaneous received SNR p_t * |g^T Theta h + h_siso|^2 / n_0.
+
+    Theta is diagonal with unit-magnitude entries exp(j * phases_rad).
+    """
     h = np.asarray(h, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    combined = np.sum(g * theta.coefficients() * h) + h_siso
+    combined = np.sum(g * np.exp(1j * np.asarray(phases_rad, dtype=float)) * h) + h_siso
     return budget.p_t_mw * abs(combined) ** 2 / budget.n_0_mw
 
 
@@ -96,32 +78,19 @@ def achievable_rate(snr_linear: float) -> float:
 def evaluate_link(
     h: np.ndarray, g: np.ndarray, h_siso: complex, budget: LinkBudget
 ) -> LinkResult:
-    """Apply optimal phases and compute SNR, rate and component magnitudes."""
-    theta = optimal_phases(h, g, h_siso)
-    snr = received_snr(h, g, theta, h_siso, budget)
+    """SNR, rate and component magnitudes under optimal RIS phases.
+
+    Optimal phases align every reflected term with the direct path, so the
+    SNR has the closed form p_t * (|h_siso| + sum_n |h_n| |g_n|)^2 / n_0.
+    """
+    if np.shape(h) != np.shape(g):
+        raise ValueError("h and g must have equal length")
+    direct = abs(h_siso)
+    ris_path = float(np.sum(np.abs(h) * np.abs(g)))
+    snr = budget.p_t_mw * (direct + ris_path) ** 2 / budget.n_0_mw
     return LinkResult(
         snr_linear=snr,
         rate_bps_hz=achievable_rate(snr),
-        direct_magnitude=abs(h_siso),
-        ris_path_magnitude=float(np.sum(np.abs(h) * np.abs(g))),
+        direct_magnitude=direct,
+        ris_path_magnitude=ris_path,
     )
-
-
-def simulate_symbol(
-    s: complex,
-    realization,
-    theta: RisResponse,
-    budget: LinkBudget,
-    rng: np.random.Generator,
-) -> complex:
-    """Received baseband symbol sqrt(p_t) (g^T Theta h + h_siso) s + noise.
-
-    The noise is circularly-symmetric complex Gaussian with variance n_0.
-    ``realization`` is any object with ``h``, ``g`` and ``h_siso`` fields.
-    """
-    h = np.asarray(realization.h, dtype=complex)
-    g = np.asarray(realization.g, dtype=complex)
-    combined = np.sum(g * theta.coefficients() * h) + realization.h_siso
-    noise_scale = np.sqrt(budget.n_0_mw / 2.0)
-    noise = noise_scale * (rng.standard_normal() + 1j * rng.standard_normal())
-    return complex(np.sqrt(budget.p_t_mw) * combined * s + noise)

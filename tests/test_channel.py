@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ from rissim.geometry import (
 from rissim.largescale import Environment
 
 CARRIER = CarrierConfig(2.4)
+
+
+def reference_plate_gain(center, side, rx):
+    """Scalar loop over the four corner terms of the plate integral."""
+    y = abs(center.y - rx.y)
+    total = 0.0
+    for x in (side / 2.0 + center.x - rx.x, side / 2.0 + rx.x - center.x):
+        for z in (side / 2.0 + center.z - rx.z, side / 2.0 + rx.z - center.z):
+            u, v = x / y, z / y
+            root = math.sqrt(u * u + v * v + 1.0)
+            total += (u * v) / (3.0 * (v * v + 1.0) * root)
+            total += (2.0 / 3.0) * math.atan2(u * v, root)
+    return total / (4.0 * math.pi)
 
 
 def degenerate_overrides(**kwargs):
@@ -329,6 +344,19 @@ class TestNearField:
         for n in (0, 4, 8):
             expected = nearfield_plate_gain(Point3(*grid[n]), 0.07, rx)
             assert abs(g[n]) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    def test_kernel_matches_scalar_reference(self, rng):
+        for _ in range(50):
+            side = rng.uniform(0.02, 0.15)
+            panel = PanelGeometry.centered(Point3(0, 0, 1.0), 9, side, "+y")
+            rx = Point3(rng.uniform(-1, 1), rng.uniform(0.05, 3.0), rng.uniform(0, 2))
+            g, _ = ris_rx_nearfield(panel, rx, CARRIER)
+            for n, position in enumerate(panel.element_grid()):
+                expected = reference_plate_gain(Point3(*position), side, rx)
+                assert nearfield_plate_gain(Point3(*position), side, rx) == pytest.approx(
+                    expected, rel=1e-12
+                )
+                assert abs(g[n]) ** 2 == pytest.approx(expected, rel=1e-12)
 
     def test_rx_in_plane_or_behind_rejected(self):
         panel = PanelGeometry.centered(Point3(0, 5, 1.0), 4, 0.05, "-y")

@@ -93,6 +93,14 @@ class TestRunCommand:
         path.write_text("{\"name\": \"x\"}")
         assert main(["run", "--config", str(path)]) == 1
 
+    def test_misspelled_key_exits_one(self, tmp_path, capsys):
+        raw = tiny_config_dict()
+        raw["trails"] = 5
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "trails" in capsys.readouterr().err
+
     def test_trials_and_workers_flags(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config_dict()))

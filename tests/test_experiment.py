@@ -12,6 +12,7 @@ from rissim.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     SweepPoint,
+    _run_sweep_point,
     _trial_rngs,
     figure_presets,
     generate_realization,
@@ -63,6 +64,13 @@ class TestConfig:
             small_config(ris_x_sweep=())
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    def test_rejects_unknown_keys(self):
+        raw = small_config().to_dict()
+        raw["trails"] = 5
+        raw["seed"] = 1
+        with pytest.raises(ValueError, match="unknown config keys: seed, trails"):
+            ExperimentConfig.from_dict(raw)
 
     def test_default_spacing_is_half_wavelength(self):
         config = small_config()
@@ -132,6 +140,23 @@ class TestRunExperiment:
         _ = _trial_rngs(5, 0, 0)[0].standard_normal(4)
         b = _trial_rngs(5, 3, 7)[0].standard_normal(4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "preset, index, rate, snr_db",
+        [
+            # Near field (InH, N=64), far field (UMi, N=1024), no-RIS baseline.
+            ("fig3a", 0, 27.624931809837275, 86.5105095666705),
+            ("fig5a", 0, 19.439724245256034, 63.958306766380176),
+            ("fig4", 5, 29.21311063142936, 88.16935039415807),
+        ],
+    )
+    def test_golden_values_pin_stream_contract(self, preset, index, rate, snr_db):
+        config = replace(figure_presets()[preset], trials=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            row = _run_sweep_point(config, index, config.sweep_points()[index])
+        assert row.mean_rate_bps_hz == pytest.approx(rate, rel=1e-12)
+        assert row.mean_snr_db == pytest.approx(snr_db, rel=1e-12)
 
 
 class TestOutputs:

@@ -10,7 +10,6 @@ from rissim.geometry import (
     Point3,
     distance_2d,
     distance_3d,
-    element_positions,
     fraunhofer_distance,
     los_angles,
 )
@@ -58,20 +57,20 @@ class TestPanelGeometry:
 
     def test_single_element(self):
         panel = PanelGeometry(1, 0.1, Point3(1, 2, 3))
-        assert element_positions(panel) == [Point3(1, 2, 3)]
+        assert panel.element_grid().tolist() == [[1.0, 2.0, 3.0]]
 
     def test_four_elements_row_major(self):
         panel = PanelGeometry(4, 0.05, Point3(1, 0, 2))
-        assert element_positions(panel) == [
-            Point3(1.0, 0.0, 2.0),
-            Point3(1.05, 0.0, 2.0),
-            Point3(1.0, 0.0, 2.05),
-            Point3(1.05, 0.0, 2.05),
+        assert panel.element_grid().tolist() == [
+            [1.0, 0.0, 2.0],
+            [1.05, 0.0, 2.0],
+            [1.0, 0.0, 2.05],
+            [1.05, 0.0, 2.05],
         ]
 
     def test_nine_elements_fifth_position(self):
         panel = PanelGeometry(9, 0.1, Point3(0, 0, 0))
-        assert element_positions(panel)[4] == Point3(0.1, 0.0, 0.1)
+        assert panel.element_grid()[4].tolist() == [0.1, 0.0, 0.1]
 
     @pytest.mark.parametrize("n", [4, 16, 81])
     def test_grid_nearest_neighbor_spacing(self, n):

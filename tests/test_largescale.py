@@ -143,7 +143,7 @@ class TestScenarioData:
         raw["c_theta_nlos"] = 1.0
         assert scenario_params_from_dict(raw).c_phi_nlos == 1.0
 
-    def test_short_key_aliases_accepted(self, tmp_path):
+    def test_user_file_long_keys(self, tmp_path):
         import json
 
         from rissim.largescale import load_scenario_params_file
@@ -151,13 +151,13 @@ class TestScenarioData:
         raw = {
             "environment": "InH",
             "los_state": "NLOS",
-            "C": 19,
-            "S": 20,
-            "r_tau": 3.0,
-            "zeta_db": 3.0,
-            "c_ASA": 11.0,
-            "c_ZSA": 9.0,
-            "lsp_table": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
+            "cluster_count": 19,
+            "rays_per_cluster": 20,
+            "delay_scaling": 3.0,
+            "per_cluster_shadowing_db": 3.0,
+            "c_asa_deg": 11.0,
+            "c_zsa_deg": 9.0,
+            "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
         path = tmp_path / "custom.json"
