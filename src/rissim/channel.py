@@ -97,36 +97,33 @@ def _assemble_panel_channel(
     wavelength_m: float,
     convention: str,
 ) -> np.ndarray:
-    """Sum the per-ray contributions into the N-element channel vector.
+    """Sum the surviving rays' contributions into the N-element channel vector.
 
     The steering phase separates into independent column/row factors on the
-    square grid, so the ray sum reduces to one small matrix product.
+    square grid, so the ray sum reduces to one small matrix product. Along
+    the element index each factor is a geometric series, built as a running
+    product of one complex exponential per ray.
     """
     mask = cluster_set.ray_mask
     if not mask.any():
         return np.zeros(panel.n_elements, dtype=complex)
-    n_rays = cluster_set.ray_mask.shape[1]
-    gains = (
-        element_gain(cluster_set.ray_zenith_deg, pattern)
-        if pattern is not None
-        else np.ones_like(cluster_set.ray_zenith_deg)
-    )
+    n_rays = mask.shape[1]
+    zenith = cluster_set.ray_zenith_deg[mask]
+    gains = element_gain(zenith, pattern) if pattern is not None else np.ones_like(zenith)
     coeffs = (
-        np.sqrt(cluster_set.powers[:, None] / n_rays)
+        np.sqrt(cluster_set.powers[np.nonzero(mask)[0]] / n_rays)
         * np.sqrt(gains / pl_linear)
-        * np.exp(1j * cluster_set.phases_rad)
+        * np.exp(1j * cluster_set.phases_rad[mask])
     )
-    coeffs = np.where(mask, coeffs, 0.0)[mask.any(axis=1)].reshape(-1)
-    a, b = steering_phase_factors(
-        cluster_set.ray_zenith_deg, cluster_set.ray_azimuth_deg, convention
-    )
-    a = a[mask.any(axis=1)].reshape(-1)
-    b = b[mask.any(axis=1)].reshape(-1)
+    a, b = steering_phase_factors(zenith, cluster_set.ray_azimuth_deg[mask], convention)
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
-    idx = np.arange(panel.side)
-    col_factors = np.exp(1j * kd * np.outer(a, idx))
-    row_factors = np.exp(1j * kd * np.outer(b, idx))
-    grid = (row_factors * coeffs[:, None]).T @ col_factors
+    # Row k holds the factors of element index k: column (a) rays, then row (b) rays.
+    factors = np.empty((panel.side, 2 * zenith.size), dtype=complex)
+    factors[0] = 1.0
+    factors[1:] = np.exp(1j * kd * np.concatenate((a, b)))
+    np.cumprod(factors, axis=0, out=factors)
+    col_factors, row_factors = np.hsplit(factors, 2)
+    grid = (row_factors * coeffs) @ col_factors.T
     return grid.reshape(-1)
 
 

@@ -8,6 +8,8 @@ regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -241,7 +243,8 @@ class RateStats:
 
     def to_json_text(self) -> str:
         def encode(value):
-            if isinstance(value, float) and math.isnan(value):
+            # NaN and +-inf have no JSON form; they are written as null.
+            if isinstance(value, float) and not math.isfinite(value):
                 return None
             return value
 
@@ -396,20 +399,74 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
     )
 
 
+# (get, set) thread-count entry points: numpy's bundled OpenBLAS, then a plain one.
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_funcs():
+    """(get, set) thread-count functions of the OpenBLAS loaded in this process.
+
+    None when no loaded library exports them, or when the process's mapped
+    libraries cannot be listed (``/proc/self/maps`` exists on Linux only).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _set_blas_threads(count: int) -> Optional[int]:
+    """Set the OpenBLAS thread count; return the previous one (None: no OpenBLAS)."""
+    funcs = _openblas_thread_funcs()
+    if funcs is None:
+        return None
+    get, set_ = funcs
+    previous = get()
+    set_(count)
+    return previous
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     """Run the full sweep.
 
     Sweep points are independent units of work; with ``workers`` > 1 they are
     distributed over processes. Results are merged in sweep-index order, so
-    the output is identical for any worker count.
+    the output is identical for any worker count. The process pool is the
+    only parallelism: every process runs the sweep with one BLAS thread, since
+    the matrix products of one trial are too small to gain from more, and
+    the caller's thread count is restored afterwards.
     """
     points = config.sweep_points()
     indices = range(len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point, repeat(config), indices, points))
-    else:
-        rows = list(map(_run_sweep_point, repeat(config), indices, points))
+    previous = _set_blas_threads(1)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+            ) as pool:
+                rows = list(pool.map(_run_sweep_point, repeat(config), indices, points))
+        else:
+            rows = list(map(_run_sweep_point, repeat(config), indices, points))
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
     rows.sort(key=lambda r: r.index)
     return RateStats(preset=config.name, rows=rows)
 

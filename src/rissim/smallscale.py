@@ -179,15 +179,13 @@ def draw_ray_angles(
         rng=rng,
     )
 
-    offsets = scenario.ray_offsets
-    az_offsets = np.empty((c, s))
-    zen_offsets = np.empty((c, s))
-    for i in range(c):
-        az_offsets[i] = offsets[rng.permutation(s)]
-        zen_offsets[i] = offsets[rng.permutation(s)]
+    # Rows 2i and 2i+1 permute cluster i's azimuth and zenith offsets; one
+    # row-wise shuffle draws them in the order of per-row permutation calls.
+    order = rng.permuted(np.broadcast_to(np.arange(s), (2 * c, s)), axis=1)
+    offsets = scenario.ray_offsets[order]
 
-    azimuth = az_centers[:, None] + scenario.c_asa_deg * az_offsets
-    zenith = zen_centers[:, None] + scenario.c_zsa_deg * zen_offsets
+    azimuth = az_centers[:, None] + scenario.c_asa_deg * offsets[0::2]
+    zenith = zen_centers[:, None] + scenario.c_zsa_deg * offsets[1::2]
 
     azimuth = np.mod(azimuth + 180.0, 360.0) - 180.0
     azimuth[azimuth == -180.0] = 180.0

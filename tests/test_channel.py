@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import make_scenario
-from rissim.array_response import element_gain, steering_vector
+from rissim.array_response import (
+    STEERING_CONVENTIONS,
+    ElementPattern,
+    element_gain,
+    steering_vector,
+)
 from rissim.channel import (
     FieldRegime,
+    _assemble_panel_channel,
     nearfield_plate_gain,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -22,6 +30,7 @@ from rissim.geometry import (
     fraunhofer_distance,
 )
 from rissim.largescale import Environment
+from rissim.smallscale import ClusterSet
 
 CARRIER = CarrierConfig(2.4)
 
@@ -149,6 +158,59 @@ class TestTxRisChannel:
                     )
             assert np.allclose(h, naive, rtol=1e-10, atol=1e-18)
         assert saw_dropped_rays
+
+    @given(
+        side=st.integers(1, 16),
+        convention=st.sampled_from(STEERING_CONVENTIONS),
+        pattern=st.sampled_from([None, ElementPattern()]),
+        mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(side=5, convention="reference", pattern=ElementPattern(),
+             mask=np.zeros((3, 4), bool), seed=1)
+    @example(side=7, convention="textbook", pattern=None,
+             mask=np.eye(1, 12, 5, dtype=bool).reshape(3, 4), seed=2)
+    @example(side=16, convention="reference", pattern=ElementPattern(),
+             mask=np.array([[True, False, True], [False, False, False], [True, True, True]]),
+             seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_assembly_matches_naive_ray_sum(self, side, convention, pattern, mask, seed):
+        rng = np.random.default_rng(seed)
+        c, s = mask.shape
+        clusters = ClusterSet(
+            delays_s=np.zeros(c),
+            powers=rng.dirichlet(np.ones(c)),
+            ray_zenith_deg=rng.uniform(0.0, 180.0, (c, s)),
+            ray_azimuth_deg=rng.uniform(-180.0, 180.0, (c, s)),
+            phases_rad=rng.uniform(-np.pi, np.pi, (c, s)),
+            ray_mask=mask,
+        )
+        panel = PanelGeometry.centered(Point3(0, 0, 2.0), side * side, 0.0625, "+y")
+        pl_linear = 10.0 ** rng.uniform(5.0, 12.0)
+        h = _assemble_panel_channel(
+            panel, clusters, pl_linear, pattern, CARRIER.wavelength_m, convention
+        )
+
+        naive = np.zeros(panel.n_elements, dtype=complex)
+        bound = 0.0
+        for ci, ri in zip(*np.nonzero(mask)):
+            zenith = clusters.ray_zenith_deg[ci, ri]
+            gain = 1.0 if pattern is None else element_gain(zenith, pattern)
+            coeff = np.sqrt(clusters.powers[ci] / s * gain / pl_linear) * np.exp(
+                1j * clusters.phases_rad[ci, ri]
+            )
+            naive += coeff * steering_vector(
+                panel,
+                SphericalAngles(zenith, clusters.ray_azimuth_deg[ci, ri]),
+                CARRIER.wavelength_m,
+                convention,
+            )
+            bound += abs(coeff)
+        assert h.shape == (panel.n_elements,)
+        # Each entry is a sum of unit-modulus terms weighted by |coeff|, so
+        # the error is judged against their total, not the (possibly
+        # cancelling) entry itself.
+        np.testing.assert_allclose(h, naive, rtol=0.0, atol=1e-12 * bound)
 
     def test_mean_power_without_pattern(self):
         offsets = np.array(

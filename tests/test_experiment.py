@@ -4,15 +4,24 @@ import re
 import warnings
 from dataclasses import replace
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import reference_paths
+from rissim import channel, experiment
 from rissim.channel import FieldRegime
 from rissim.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
+    RateStats,
     SweepPoint,
+    SweepResult,
+    _PointChannels,
     _run_sweep_point,
+    _set_blas_threads,
     _trial_rngs,
     figure_presets,
     generate_realization,
@@ -159,6 +168,102 @@ class TestRunExperiment:
         assert row.mean_snr_db == pytest.approx(snr_db, rel=1e-12)
 
 
+class TestFastPathMatchesReference:
+    """The trial path against one built from the reference assembly and angle draws."""
+
+    @pytest.mark.parametrize(
+        "preset, indices",
+        [
+            ("fig5a", (0, 164, 329)),
+            # N=16, N=4096 and the no-RIS point.
+            ("fig4", (0, 4, 5)),
+            ("fig3a", (0, 5)),
+            ("fig5b", (0, 29)),
+        ],
+    )
+    def test_per_trial_snr(self, monkeypatch, preset, indices):
+        config = replace(figure_presets()[preset], trials=4)
+        points = config.sweep_points()
+
+        def trials():
+            out = []
+            for i in indices:
+                budget = LinkBudget.from_dbm(points[i].p_t_dbm, config.n_0_dbm)
+                channels = _PointChannels(config, i).place(points[i])
+                for t in range(config.trials):
+                    real = channels.trial(t)
+                    snr = evaluate_link(real.h, real.g, real.h_siso, budget).snr_linear
+                    out.append((snr, real.h, real.g))
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = trials()
+            monkeypatch.setattr(
+                channel, "_assemble_panel_channel", reference_paths.assemble_panel_channel
+            )
+            monkeypatch.setattr(channel, "draw_ray_angles", reference_paths.draw_ray_angles)
+            reference = trials()
+        for (snr, h, g), (ref_snr, ref_h, ref_g) in zip(fast, reference):
+            assert snr == pytest.approx(ref_snr, rel=1e-10)
+            for vector, ref_vector in ((h, ref_h), (g, ref_g)):
+                scale = np.abs(ref_vector).max(initial=0.0)
+                np.testing.assert_allclose(vector, ref_vector, rtol=0.0, atol=1e-10 * scale)
+
+
+_unchecked_run_sweep_point = experiment._run_sweep_point
+
+
+def sweep_point_on_one_blas_thread(config, index, point):
+    """``_run_sweep_point`` that fails unless OpenBLAS runs one thread."""
+    get, _ = experiment._openblas_thread_funcs()
+    if get() != 1:
+        raise AssertionError(f"sweep point ran with {get()} BLAS threads")
+    return _unchecked_run_sweep_point(config, index, point)
+
+
+def failing_sweep_point(config, index, point):
+    raise RuntimeError("sweep point failed")
+
+
+@pytest.mark.skipif(
+    experiment._openblas_thread_funcs() is None, reason="no OpenBLAS thread control found"
+)
+class TestBlasThreads:
+    @pytest.fixture
+    def two_threads(self):
+        """OpenBLAS at two threads for one test; the returned getter reads the count."""
+        get, set_ = experiment._openblas_thread_funcs()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_thread_per_sweep_point_then_restored(self, monkeypatch, two_threads, workers):
+        monkeypatch.setattr(experiment, "_run_sweep_point", sweep_point_on_one_blas_thread)
+        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0), trials=2), workers=workers)
+        assert [row.error for row in stats.rows] == [None, None]
+        assert two_threads() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_when_a_sweep_point_raises(self, monkeypatch, two_threads, workers):
+        monkeypatch.setattr(experiment, "_run_sweep_point", failing_sweep_point)
+        with pytest.raises(RuntimeError, match="sweep point failed"):
+            run_experiment(small_config(ris_z_sweep=(2.0, 3.0)), workers=workers)
+        assert two_threads() == 2
+
+    def test_initializer_covers_spawned_workers(self):
+        with ProcessPoolExecutor(
+            1,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_set_blas_threads,
+            initargs=(1,),
+        ) as pool:
+            # Returns the count the worker had before this call.
+            assert pool.submit(_set_blas_threads, 1).result(timeout=60) == 1
+
+
 class TestOutputs:
     def test_csv_schema(self):
         stats = run_experiment(small_config(trials=3))
@@ -186,6 +291,22 @@ class TestOutputs:
         assert row["n_elements"] == 16
         assert row["error"] is None
         assert isinstance(row["mean_rate_bps_hz"], float)
+
+    def test_json_writes_infinities_as_null(self):
+        nan, inf = float("nan"), float("inf")
+        row = SweepResult(
+            0, SweepPoint(38, 50, 3, 16, 20.0), 0.0, inf, -inf, nan, 0.0, "near_field", 2, 99
+        )
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(RateStats("unit", [row]).to_json_text(), parse_constant=reject)
+        record = payload["rows"][0]
+        assert record["std_rate"] is None
+        assert record["mean_snr_db"] is None
+        assert record["los_fraction_txris"] is None
+        assert record["mean_rate_bps_hz"] == 0.0
 
     def test_write_files(self, tmp_path):
         stats = run_experiment(small_config(trials=2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference_paths
 from conftest import ScriptedRng, make_scenario
 from rissim.geometry import SphericalAngles
 from rissim.largescale import Environment, LargeScaleParams, load_scenario_params
@@ -215,6 +216,24 @@ class TestDrawRayAngles:
             spreads.append(stats.circstd(np.radians(samples)))
         rho = stats.spearmanr(asa_values, spreads).statistic
         assert rho == 1.0
+
+    @pytest.mark.parametrize("env", list(Environment))
+    @pytest.mark.parametrize("los", [True, False])
+    def test_matches_per_cluster_permutation_loop(self, env, los):
+        params = load_scenario_params(env, los)
+        lsps = make_lsps(asa=30.0, zsa=12.0)
+        los_dir = SphericalAngles(80.0, 60.0)
+        for seed in range(10):
+            powers = np.random.default_rng(seed).dirichlet(np.ones(params.cluster_count))
+            fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = draw_ray_angles(env, powers, lsps, los_dir, los, params, fast_rng)
+            loop = reference_paths.draw_ray_angles(
+                env, powers, lsps, los_dir, los, params, loop_rng
+            )
+            np.testing.assert_array_equal(fast[0], loop[0])
+            np.testing.assert_array_equal(fast[1], loop[1])
+            # Both leave the stream at the same place for the draws after them.
+            assert fast_rng.uniform() == loop_rng.uniform()
 
 
 class TestFilterFrontHemisphere:
