@@ -5,13 +5,18 @@ Tx-Rx direct channel, and the RIS-Rx vector g which is either stochastic
 (far field) or a deterministic pure-LOS per-element coefficient (near field).
 All stochastic links are narrowband: cluster delays only shape the power and
 angle statistics, and the output is a single complex coefficient per element.
+
+A stochastic link's constants (``_Link``) are computed once per sweep point.
+A chunk of trials is generated in two phases: ``_Link.draw`` makes each
+trial's draws from that trial's generator, then ``_Link.map_draws`` runs the
+stages once on the draws of all trials in one LOS state, with a leading
+trial axis. The one-trial functions below are the same code on a chunk of one.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -33,7 +38,7 @@ from .largescale import (
     LargeScaleParams,
     LinkState,
     ScenarioParams,
-    assign_link_state,
+    assign_link_state,  # noqa: F401 (a layer benchmarks/layertrace.py wraps here)
     draw_lsps,
     load_scenario_params,
     los_probability,
@@ -41,6 +46,7 @@ from .largescale import (
 )
 from .smallscale import (
     ClusterSet,
+    _offset_rows,
     build_cluster_set,
     cluster_powers,
     draw_delays,
@@ -89,10 +95,45 @@ def _resolve_params(
     return load_scenario_params(env, los)
 
 
+class _Variates:
+    """A chunk's pre-drawn variates, passed to the stage functions as ``rng``.
+
+    ``blocks[k]`` stacks the k-th draw of every trial of the chunk on a
+    leading trial axis (``_Link.draw`` makes the draws). The stages ask for
+    their draws in the same order, so each draw call returns the next block;
+    its per-trial shape must be the size the call asks for. The distribution
+    arguments are those ``_Link.draw`` used and are not read.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+
+    def _next(self, size) -> np.ndarray:
+        block = next(self._blocks)
+        if block.shape[1:] != (size if isinstance(size, tuple) else (size,)):
+            raise RuntimeError(f"draw of shape {size} replayed from a block of {block.shape}")
+        return block
+
+    def standard_normal(self, size):
+        return self._next(size)
+
+    def uniform(self, *, size):
+        return self._next(size)
+
+    def normal(self, loc, scale, *, size):
+        return self._next(size)
+
+    def integers(self, low, high, *, size):
+        return self._next(size)
+
+    def permuted(self, x, *, axis):
+        return self._next(np.shape(x))
+
+
 def _assemble_panel_channel(
     panel: PanelGeometry,
     cluster_set: ClusterSet,
-    pl_linear: float,
+    pl_linear,
     pattern: Optional[ElementPattern],
     wavelength_m: float,
     convention: str,
@@ -101,87 +142,263 @@ def _assemble_panel_channel(
 
     The steering phase separates into independent column/row factors on the
     square grid, so the ray sum reduces to one small matrix product. Along
-    the element index each factor is a geometric series, built as a running
-    product of one complex exponential per ray.
+    the element index each factor is a geometric series, built by repeated
+    doubling from one complex exponential per ray.
+
+    A cluster set with a leading trial axis (and ``pl_linear`` of shape (T,))
+    gives one vector per trial, shape (T, N): the factors of every trial's
+    surviving rays form one block, and each trial's product takes its own
+    columns of it.
     """
     mask = cluster_set.ray_mask
-    if not mask.any():
-        return np.zeros(panel.n_elements, dtype=complex)
-    n_rays = mask.shape[1]
-    zenith = cluster_set.ray_zenith_deg[mask]
+    lead = mask.shape[:-2]
+    mask = mask.reshape((-1,) + mask.shape[-2:])
+    n_rays = mask.shape[-1]
+    trial, cluster, _ = np.nonzero(mask)
+
+    def surviving(values):
+        return values.reshape(mask.shape)[mask]
+
+    zenith = surviving(cluster_set.ray_zenith_deg)
     gains = element_gain(zenith, pattern) if pattern is not None else np.ones_like(zenith)
     coeffs = (
-        np.sqrt(cluster_set.powers[np.nonzero(mask)[0]] / n_rays)
-        * np.sqrt(gains / pl_linear)
-        * np.exp(1j * cluster_set.phases_rad[mask])
+        np.sqrt(cluster_set.powers.reshape(mask.shape[:2])[trial, cluster] / n_rays)
+        * np.sqrt(gains / np.reshape(pl_linear, -1)[trial])
+        * np.exp(1j * surviving(cluster_set.phases_rad))
     )
-    a, b = steering_phase_factors(zenith, cluster_set.ray_azimuth_deg[mask], convention)
+    a, b = steering_phase_factors(zenith, surviving(cluster_set.ray_azimuth_deg), convention)
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
-    # Row k holds the factors of element index k: column (a) rays, then row (b) rays.
-    factors = np.empty((panel.side, 2 * zenith.size), dtype=complex)
+    base = np.exp(1j * kd * np.concatenate((a, b)))
+    # Row k holds base**k, the factors of element index k: column (a) rays,
+    # then row (b) rays. Each pass extends the known rows 0..step-1 by
+    # multiplying them with base**step.
+    factors = np.empty((panel.side, base.size), dtype=complex)
     factors[0] = 1.0
-    factors[1:] = np.exp(1j * kd * np.concatenate((a, b)))
-    np.cumprod(factors, axis=0, out=factors)
-    col_factors, row_factors = np.hsplit(factors, 2)
-    grid = (row_factors * coeffs) @ col_factors.T
-    return grid.reshape(-1)
+    step = 1
+    while step < panel.side:
+        count = min(step, panel.side - step)
+        np.multiply(factors[:count], factors[step - 1] * base, out=factors[step : step + count])
+        step += count
+    col_factors, row_factors = factors[:, : zenith.size], factors[:, zenith.size :]
+    row_factors *= coeffs
+    grid = np.zeros((mask.shape[0], panel.side, panel.side), dtype=complex)
+    bounds = np.searchsorted(trial, np.arange(mask.shape[0] + 1))
+    for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            grid[t] = row_factors[:, lo:hi] @ col_factors[:, lo:hi].T
+    return grid.reshape(lead + (panel.n_elements,))
 
 
-def _stochastic_panel_link(
+@dataclass(frozen=True)
+class _Link:
+    """One stochastic link's constants, computed once per sweep point.
+
+    A panel link (Tx-RIS or far-field RIS-Rx) carries its panel, LOS
+    direction, element pattern and steering convention; the direct link
+    carries none of them.
+    """
+
+    kind: str
+    env: Environment
+    forced_los: bool
+    los_probability: float
+    d3d: float
+    h_ut: float
+    f_c_ghz: float
+    params: Mapping[bool, ScenarioParams]
+    panel: Optional[PanelGeometry] = None
+    los_direction: Optional[SphericalAngles] = None
+    pattern: Optional[ElementPattern] = None
+    convention: str = "reference"
+    wavelength_m: float = 0.0
+
+    def draw(self, rng: np.random.Generator) -> tuple[bool, list]:
+        """One trial's LOS state and the draws of its stages, in call order.
+
+        The draws are those the stage functions make with a generator: LSPs,
+        delays, cluster powers, for a panel link the sign and jitter of the
+        azimuth then zenith cluster centres and the ray offset order, and
+        the ray phases. ``random`` and ``standard_normal`` stand in for
+        ``uniform(0, 1)`` and ``normal(0, 1)``: they return the same values
+        at less cost.
+        """
+        los = self.forced_los or bool(rng.random() < self.los_probability)
+        params = self.params[los]
+        c, s = params.cluster_count, params.rays_per_cluster
+        draws = [rng.standard_normal(7), rng.random(c), rng.standard_normal(c)]
+        if self.panel is not None:
+            for _ in range(2):
+                draws += [rng.integers(0, 2, size=c), rng.standard_normal(c)]
+            draws.append(rng.permuted(_offset_rows(c, s), axis=1))
+        draws.append(rng.random((c, s)))
+        return los, draws
+
+    def map_draws(self, los: bool, rng) -> tuple:
+        """(channel, path loss dB, LSPs, cluster set) of trials in one LOS state.
+
+        With a chunk's ``_Variates`` every result carries the trial axis; the
+        channel is (T, N) for a panel link and (T,) for the direct link,
+        whose cluster set is None.
+        """
+        params = self.params[los]
+        c, s = params.cluster_count, params.rays_per_cluster
+        lsps = draw_lsps(params, los, rng)
+        pl_db = path_loss_db(
+            self.env, los, self.d3d, self.f_c_ghz, h_ut=self.h_ut, sf_db=lsps.sf_db
+        )
+        delays = draw_delays(c, params.delay_scaling, lsps.ds_s, rng)
+        powers = cluster_powers(
+            delays,
+            params.delay_scaling,
+            lsps.ds_s,
+            params.per_cluster_shadowing_db,
+            lsps.k_factor_db,
+            los,
+            rng,
+        )
+        pl_linear = 10.0 ** (pl_db / 10.0)
+        if self.panel is None:
+            # No angles or element pattern: each ray adds its amplitude and phase.
+            phases = draw_phases(c, s, rng)
+            rays = np.sqrt(powers[..., None] / s) * np.exp(1j * phases)
+            value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
+            return value, pl_db, lsps, None
+        zenith, azimuth = draw_ray_angles(
+            self.env, powers, lsps, self.los_direction, los, params, rng
+        )
+        phases = draw_phases(c, s, rng)
+        clusters = filter_front_hemisphere(
+            build_cluster_set(delays, powers, zenith, azimuth, phases)
+        )
+        vector = _assemble_panel_channel(
+            self.panel, clusters, pl_linear, self.pattern, self.wavelength_m, self.convention
+        )
+        return vector, pl_db, lsps, clusters
+
+
+def _panel_link(
     kind: str,
     env: Environment,
     terminal: Point3,
     panel: PanelGeometry,
     carrier: CarrierConfig,
-    rng: np.random.Generator,
     pattern: Optional[ElementPattern],
     convention: str,
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]],
-) -> tuple[np.ndarray, LinkMetadata]:
-    """Shared generation pipeline for the Tx-RIS and far-field RIS-Rx links."""
+    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
+) -> _Link:
+    """Constants of the Tx-RIS or far-field RIS-Rx link.
+
+    LOS is forced when the panel center is at least as high as the terminal;
+    the effective antenna height of the UMi NLOS path loss is the panel
+    height minus one meter. The Tx-RIS link warns when the Tx is inside the
+    Fraunhofer distance.
+    """
     center = panel.center
     if panel.boresight_sign * (terminal.y - center.y) < 0.0:
         raise ValueError(f"{kind}: terminal lies behind the panel")
-    los_dir = los_angles(panel, terminal)
     d3d = distance_3d(terminal, center)
-    d2d = distance_2d(terminal, center)
-    state = assign_link_state(env, d2d, z_ris=center.z, z_tx=terminal.z, rng=rng)
-    params = _resolve_params(env, state.los, scenario_overrides)
-    lsps = draw_lsps(params, state.los, rng)
-    pl_db = path_loss_db(
-        env, state.los, d3d, carrier.f_c_ghz, h_ut=center.z - 1.0, sf_db=lsps.sf_db
-    )
-    delays = draw_delays(params.cluster_count, params.delay_scaling, lsps.ds_s, rng)
-    powers = cluster_powers(
-        delays,
-        params.delay_scaling,
-        lsps.ds_s,
-        params.per_cluster_shadowing_db,
-        lsps.k_factor_db,
-        state.los,
-        rng,
-    )
-    zenith, azimuth = draw_ray_angles(
-        env, powers, lsps, los_dir, state.los, params, rng
-    )
-    phases = draw_phases(params.cluster_count, params.rays_per_cluster, rng)
-    clusters = filter_front_hemisphere(
-        build_cluster_set(delays, powers, zenith, azimuth, phases)
-    )
-    pl_linear = 10.0 ** (pl_db / 10.0)
-    vector = _assemble_panel_channel(
-        panel, clusters, pl_linear, pattern, carrier.wavelength_m, convention
-    )
-    meta = LinkMetadata(
+    if kind == "tx_ris" and d3d < fraunhofer_distance(panel, carrier):
+        warnings.warn(
+            "Tx is inside the Fraunhofer distance of the panel; the Tx-RIS "
+            "link is still generated with the far-field model",
+            stacklevel=2,
+        )
+    forced = center.z >= terminal.z
+    return _Link(
         kind=kind,
-        state=state,
-        path_loss_db=pl_db,
-        lsps=lsps,
-        cluster_set=clusters,
-        los_direction=los_dir,
-        fully_shadowed=clusters.fully_shadowed,
+        env=env,
+        forced_los=forced,
+        los_probability=1.0 if forced else los_probability(env, distance_2d(terminal, center)),
+        d3d=d3d,
+        h_ut=center.z - 1.0,
+        f_c_ghz=carrier.f_c_ghz,
+        params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
+        panel=panel,
+        los_direction=los_angles(panel, terminal),
+        pattern=pattern,
+        convention=convention,
+        wavelength_m=carrier.wavelength_m,
     )
-    return vector, meta
+
+
+def _direct_link(
+    env: Environment,
+    tx: Point3,
+    rx: Point3,
+    carrier: CarrierConfig,
+    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
+) -> _Link:
+    """Constants of the Tx-Rx link: drawn LOS only, Rx height for UMi NLOS."""
+    d3d = distance_3d(tx, rx)
+    if d3d == 0.0:
+        raise ValueError("tx and rx coincide")
+    return _Link(
+        kind="tx_rx",
+        env=env,
+        forced_los=False,
+        los_probability=los_probability(env, distance_2d(tx, rx)),
+        d3d=d3d,
+        h_ut=rx.z,
+        f_c_ghz=carrier.f_c_ghz,
+        params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
+    )
+
+
+def _trial_of(record, i: int):
+    """Trial ``i`` of a chunk's record (``LargeScaleParams`` or ``ClusterSet``)."""
+    return replace(record, **{f.name: getattr(record, f.name)[i] for f in fields(record)})
+
+
+@dataclass(frozen=True)
+class _LinkChunk:
+    """One link generated for a chunk of trials.
+
+    ``values`` holds the channels in trial order, (T, N) or (T,); ``groups``
+    holds, per LOS state present, the trial indices and what
+    ``_Link.map_draws`` returned for them besides the channel.
+    """
+
+    link: _Link
+    los: np.ndarray
+    values: np.ndarray
+    groups: tuple
+
+    @classmethod
+    def generate(cls, link: _Link, draws: list) -> "_LinkChunk":
+        """Map ``link.draw`` results of a chunk's trials, grouped by LOS state."""
+        los = np.array([state for state, _ in draws], dtype=bool)
+        shape = (len(draws),) if link.panel is None else (len(draws), link.panel.n_elements)
+        values = np.empty(shape, dtype=complex)
+        groups = []
+        for state in (True, False):
+            trials = np.flatnonzero(los == state)
+            if trials.size:
+                blocks = [np.array(column) for column in zip(*(draws[i][1] for i in trials))]
+                value, *rest = link.map_draws(state, _Variates(blocks))
+                values[trials] = value
+                groups.append((trials, *rest))
+        return cls(link, los, values, tuple(groups))
+
+    def metadata(self, i: int) -> LinkMetadata:
+        """Metadata of trial ``i``."""
+        trials, pl_db, lsps, clusters = next(g for g in self.groups if i in g[0])
+        j = int(np.searchsorted(trials, i))
+        clusters = None if clusters is None else _trial_of(clusters, j)
+        return LinkMetadata(
+            kind=self.link.kind,
+            state=LinkState(los=bool(self.los[i]), forced=self.link.forced_los),
+            path_loss_db=float(pl_db[j]),
+            lsps=_trial_of(lsps, j),
+            cluster_set=clusters,
+            los_direction=self.link.los_direction,
+            fully_shadowed=clusters is not None and clusters.fully_shadowed,
+        )
+
+
+def _one_trial(link: _Link, rng: np.random.Generator):
+    """The link's channel and metadata for one trial drawn from ``rng``."""
+    chunk = _LinkChunk.generate(link, [link.draw(rng)])
+    return chunk.values[0], chunk.metadata(0)
 
 
 def tx_ris_channel(
@@ -203,15 +420,8 @@ def tx_ris_channel(
     carries ``fully_shadowed=True``. Emits a warning (not an error) when the
     Tx sits inside the panel's Fraunhofer distance.
     """
-    if distance_3d(tx, panel.center) < fraunhofer_distance(panel, carrier):
-        warnings.warn(
-            "Tx is inside the Fraunhofer distance of the panel; the Tx-RIS "
-            "link is still generated with the far-field model",
-            stacklevel=2,
-        )
-    return _stochastic_panel_link(
-        "tx_ris", env, tx, panel, carrier, rng, pattern, convention, scenario_overrides
-    )
+    link = _panel_link("tx_ris", env, tx, panel, carrier, pattern, convention, scenario_overrides)
+    return _one_trial(link, rng)
 
 
 def ris_rx_farfield(
@@ -231,9 +441,8 @@ def ris_rx_farfield(
     departure angles at the panel follow the same distributions as the
     arrival angles of the Tx-RIS link.
     """
-    return _stochastic_panel_link(
-        "ris_rx", env, rx, panel, carrier, rng, pattern, convention, scenario_overrides
-    )
+    link = _panel_link("ris_rx", env, rx, panel, carrier, pattern, convention, scenario_overrides)
+    return _one_trial(link, rng)
 
 
 def siso_channel(
@@ -251,29 +460,8 @@ def siso_channel(
     and no angles or element pattern: each ray contributes its amplitude and
     random phase. The UMi NLOS height correction uses the Rx height.
     """
-    d3d = distance_3d(tx, rx)
-    if d3d == 0.0:
-        raise ValueError("tx and rx coincide")
-    d2d = distance_2d(tx, rx)
-    state = LinkState(los=bool(rng.uniform() < los_probability(env, d2d)))
-    params = _resolve_params(env, state.los, scenario_overrides)
-    lsps = draw_lsps(params, state.los, rng)
-    pl_db = path_loss_db(env, state.los, d3d, carrier.f_c_ghz, h_ut=rx.z, sf_db=lsps.sf_db)
-    delays = draw_delays(params.cluster_count, params.delay_scaling, lsps.ds_s, rng)
-    powers = cluster_powers(
-        delays,
-        params.delay_scaling,
-        lsps.ds_s,
-        params.per_cluster_shadowing_db,
-        lsps.k_factor_db,
-        state.los,
-        rng,
-    )
-    phases = draw_phases(params.cluster_count, params.rays_per_cluster, rng)
-    amplitudes = np.sqrt(powers[:, None] / params.rays_per_cluster)
-    value = complex(np.sum(amplitudes * np.exp(1j * phases)) / math.sqrt(10.0 ** (pl_db / 10.0)))
-    meta = LinkMetadata(kind="tx_rx", state=state, path_loss_db=pl_db, lsps=lsps)
-    return value, meta
+    value, meta = _one_trial(_direct_link(env, tx, rx, carrier, scenario_overrides), rng)
+    return complex(value), meta
 
 
 def _plate_gain(dx, dz, y: float, side: float) -> np.ndarray:

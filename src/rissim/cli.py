@@ -64,6 +64,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 def _run_and_emit(config: ExperimentConfig, args) -> int:
     try:
         stats = run_experiment(config, workers=args.workers)
+        failed = [row for row in stats.rows if row.error is not None]
+        if failed:
+            print(f"{len(failed)} of {len(stats.rows)} sweep points failed:", file=sys.stderr)
+            for row in failed:
+                print(f"  point {row.index}: {row.error}", file=sys.stderr)
         if args.output:
             stats.write(args.output, args.format)
         else:

@@ -20,9 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .array_response import ElementPattern
-from .channel import (
+# The engine calls no one-trial link function; tx_ris_channel, ris_rx_farfield
+# and siso_channel stay importable here, where benchmarks/layertrace.py wraps them.
+from .channel import (  # noqa: F401
     ChannelRealization,
     FieldRegime,
+    _direct_link,
+    _LinkChunk,
+    _panel_link,
     ris_rx_farfield,
     ris_rx_nearfield,
     select_field_regime,
@@ -261,19 +266,62 @@ class RateStats:
 
 
 def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
-    """Three independent generators (h, direct, g) for one trial."""
-    base = np.random.SeedSequence(entropy=master_seed, spawn_key=(sweep_index, trial))
-    return tuple(np.random.default_rng(s) for s in base.spawn(3))
+    """Three independent generators (h, direct, g) for one trial.
+
+    Child k is the k-th child ``spawn`` would make of
+    ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``, built
+    directly.
+    """
+    return tuple(
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(sweep_index, trial, k)))
+        )
+        for k in range(3)
+    )
+
+
+# Working-set budget of one chunk of trials, in bytes.
+_CHUNK_BYTES = 1 << 20
+
+# The links of a trial in the order of the generators ``_trial_rngs`` returns.
+_STREAMS = ("tx_ris", "tx_rx", "ris_rx")
+
+
+def _chunk_trials(side: int, rays: int) -> int:
+    """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
+
+    One trial's panel link holds complex (side, 2R) steering factors, R
+    per-ray coefficients and a side x side grid, for at most R = C*S rays.
+    The estimate depends on the point alone, never on ``workers``.
+    """
+    per_trial = 16 * (rays * (2 * side + 1) + side * side)
+    return max(1, _CHUNK_BYTES // per_trial)
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """All three channels of a chunk of trials.
+
+    ``h`` and ``g`` are (T, N) (N = 0 without a panel), ``h_siso`` is (T,);
+    ``links`` maps "tx_ris", "ris_rx" and "tx_rx" to each stochastic link's
+    ``_LinkChunk`` (None for an absent or near-field link).
+    """
+
+    h: np.ndarray
+    g: np.ndarray
+    h_siso: np.ndarray
+    links: dict
 
 
 class _PointChannels:
-    """Per-point constants of one sweep point and its trial generator.
+    """Per-point constants of one sweep point and its chunked trial engine.
 
-    ``place`` builds the panel, selects the RIS-Rx regime and computes the
-    deterministic near-field ``g`` once; ``trial`` draws one trial's three
-    channels from that trial's RNG streams. Without elements (the no-RIS
-    baseline) ``h`` and ``g`` are empty. ``place`` is apart from the
-    constructor so that a point whose geometry fails still reports the
+    ``place`` builds the panel, selects the RIS-Rx regime, computes the
+    deterministic near-field ``g`` and every stochastic link's constants
+    once. ``chunk`` draws each trial of a chunk from that trial's own RNG
+    streams, then maps the draws of all of them at once. Without elements
+    (the no-RIS baseline) ``h`` and ``g`` are empty. ``place`` is apart from
+    the constructor so that a point whose geometry fails still reports the
     regime selected before the failure.
     """
 
@@ -285,14 +333,18 @@ class _PointChannels:
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
         self.near = None
+        self.links = {}
+        self.chunk_trials = 1
 
     @property
     def regime_name(self) -> str:
         return self.regime.value if self.panel is not None else "none"
 
     def place(self, point: SweepPoint) -> "_PointChannels":
+        config = self.config
+        env, carrier = config.environment, self.carrier
+        links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
-            config = self.config
             self.panel = PanelGeometry.centered(
                 Point3(point.ris_x, point.ris_y, point.ris_z),
                 point.n_elements,
@@ -300,49 +352,63 @@ class _PointChannels:
                 config.boresight,
             )
             self.regime = select_field_regime(
-                self.panel, config.rx, self.carrier, config.regime_override
+                self.panel, config.rx, carrier, config.regime_override
             )
             if self.regime is FieldRegime.NEAR_FIELD:
-                self.near = ris_rx_nearfield(self.panel, config.rx, self.carrier)
+                self.near = ris_rx_nearfield(self.panel, config.rx, carrier)
+            panel_args = (self.panel, carrier, self.pattern, config.steering_convention)
+            links["tx_ris"] = _panel_link("tx_ris", env, config.tx, *panel_args)
+            if self.near is None:
+                links["ris_rx"] = _panel_link("ris_rx", env, config.rx, *panel_args)
+        links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
+        self.links = links
+        rays = max(
+            p.cluster_count * p.rays_per_cluster
+            for link in links.values()
+            if link is not None
+            for p in link.params.values()
+        )
+        self.chunk_trials = _chunk_trials(self.panel.side if self.panel else 0, rays)
         return self
 
-    def trial(self, trial: int) -> ChannelRealization:
+    def chunk(self, trials) -> _Chunk:
+        """Channels of the given trials: a draw loop, then one mapping pass."""
         config = self.config
-        rng_h, rng_siso, rng_g = _trial_rngs(config.master_seed, self.sweep_index, trial)
+        active = {kind: link for kind, link in self.links.items() if link is not None}
+        draws = {kind: [] for kind in active}
+        for t in trials:
+            rngs = dict(zip(_STREAMS, _trial_rngs(config.master_seed, self.sweep_index, t)))
+            for kind, link in active.items():
+                draws[kind].append(link.draw(rngs[kind]))
+        links = {
+            kind: None if link is None else _LinkChunk.generate(link, draws[kind])
+            for kind, link in self.links.items()
+        }
+        h_siso = links["tx_rx"].values
         if self.panel is None:
-            h = g = np.zeros(0, dtype=complex)
-            meta_h = meta_g = None
+            h = g = np.zeros((h_siso.size, 0), dtype=complex)
+        elif self.near is None:
+            h, g = links["tx_ris"].values, links["ris_rx"].values
         else:
-            h, meta_h = tx_ris_channel(
-                config.environment,
-                config.tx,
-                self.panel,
-                self.carrier,
-                rng_h,
-                pattern=self.pattern,
-                convention=config.steering_convention,
-            )
-            if self.near is not None:
-                g, meta_g = self.near
-            else:
-                g, meta_g = ris_rx_farfield(
-                    config.environment,
-                    self.panel,
-                    config.rx,
-                    self.carrier,
-                    rng_g,
-                    pattern=self.pattern,
-                    convention=config.steering_convention,
-                )
-        h_siso, meta_siso = siso_channel(
-            config.environment, config.tx, config.rx, self.carrier, rng_siso
-        )
+            h = links["tx_ris"].values
+            g = np.broadcast_to(self.near[0], h.shape)
+        return _Chunk(h, g, h_siso, links)
+
+    def trial(self, trial: int) -> ChannelRealization:
+        """One trial's channels and metadata: the engine on a chunk of one."""
+        chunk = self.chunk([trial])
+        meta = {
+            kind: None if link is None else link.metadata(0)
+            for kind, link in chunk.links.items()
+        }
+        if self.near is not None:
+            meta["ris_rx"] = self.near[1]
         return ChannelRealization(
-            h=h,
-            g=g,
+            h=chunk.h[0],
+            g=chunk.g[0] if self.near is None else self.near[0],
             g_regime=self.regime,
-            h_siso=h_siso,
-            metadata={"tx_ris": meta_h, "ris_rx": meta_g, "tx_rx": meta_siso},
+            h_siso=complex(chunk.h_siso[0]),
+            metadata=meta,
         )
 
 
@@ -357,6 +423,12 @@ def generate_realization(
 
 
 def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) -> SweepResult:
+    """Monte Carlo statistics of one sweep point, evaluated in chunks of trials.
+
+    Any exception from the point becomes its error row, so the rest of the
+    sweep completes: a ``ValueError`` (bad geometry) keeps its message, any
+    other exception is written as ``"<Type>: <message>"``.
+    """
     budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
     channels = _PointChannels(config, index)
     trials = config.trials
@@ -368,20 +440,21 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
 
     try:
         channels.place(point)
-        for t in range(trials):
-            real = channels.trial(t)
-            meta = real.metadata
-            if meta["tx_ris"] is not None:
-                los_h += meta["tx_ris"].state.los
-            los_siso += meta["tx_rx"].state.los
-            result = evaluate_link(real.h, real.g, real.h_siso, budget)
-            rates[t] = result.rate_bps_hz
-            snrs[t] = result.snr_linear
-    except ValueError as exc:
+        for start in range(0, trials, channels.chunk_trials):
+            stop = min(start + channels.chunk_trials, trials)
+            chunk = channels.chunk(range(start, stop))
+            result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
+            rates[start:stop] = result.rate_bps_hz
+            snrs[start:stop] = result.snr_linear
+            if chunk.links["tx_ris"] is not None:
+                los_h += int(chunk.links["tx_ris"].los.sum())
+            los_siso += int(chunk.links["tx_rx"].los.sum())
+    except Exception as exc:
         nan = float("nan")
+        error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
         return SweepResult(
             index, point, nan, nan, nan, nan, nan, channels.regime_name, trials,
-            config.master_seed, error=str(exc),
+            config.master_seed, error=error,
         )
 
     mean_snr = float(np.mean(snrs))

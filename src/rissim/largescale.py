@@ -293,19 +293,25 @@ def draw_lsps(
     the configured cross-correlation matrix and mapped per parameter:
     log-normal for DS and the angular spreads, normal-in-dB for SF and K.
     Azimuth spreads are capped at 104 degrees, zenith spreads at 52.
+
+    ``rng`` may also be a chunk's pre-drawn variates; the block of a chunk of
+    trials carries a leading trial axis, and so does every field of the result.
     """
     factor = params.correlation_factor()
-    latent = factor @ rng.standard_normal(7)
-    values = {}
-    for i, name in enumerate(LSP_ORDER):
-        values[name] = params.lsp_means[name] + params.lsp_stds[name] * latent[i]
+    latent = (factor @ rng.standard_normal(7)[..., None])[..., 0]
+    means = np.array([params.lsp_means[name] for name in LSP_ORDER])
+    stds = np.array([params.lsp_stds[name] for name in LSP_ORDER])
+    values = means + stds * latent
+    # DS and the four angular spreads are log10-domain; the angles are capped.
+    spreads = 10.0 ** values[..., 2:]
+    angles = np.minimum(spreads[..., 1:], (ASA_CAP_DEG, ASA_CAP_DEG, ZSA_CAP_DEG, ZSA_CAP_DEG))
     return LargeScaleParams(
-        sf_db=values["SF_db"],
-        k_factor_db=values["K_db"],
-        ds_s=10.0 ** values["lgDS"],
-        asd_deg=min(10.0 ** values["lgASD"], ASA_CAP_DEG),
-        asa_deg=min(10.0 ** values["lgASA"], ASA_CAP_DEG),
-        zsd_deg=min(10.0 ** values["lgZSD"], ZSA_CAP_DEG),
-        zsa_deg=min(10.0 ** values["lgZSA"], ZSA_CAP_DEG),
+        sf_db=values[..., 0],
+        k_factor_db=values[..., 1],
+        ds_s=spreads[..., 0],
+        asd_deg=angles[..., 0],
+        asa_deg=angles[..., 1],
+        zsd_deg=angles[..., 2],
+        zsa_deg=angles[..., 3],
         latent=latent,
     )

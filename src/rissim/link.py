@@ -25,7 +25,10 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class LinkResult:
-    """SNR/rate of one configured realization plus component magnitudes."""
+    """SNR/rate of one configured realization plus component magnitudes.
+
+    For a chunk of trials each field is a (T,) array.
+    """
 
     snr_linear: float
     rate_bps_hz: float
@@ -68,11 +71,11 @@ def received_snr(
     return budget.p_t_mw * abs(combined) ** 2 / budget.n_0_mw
 
 
-def achievable_rate(snr_linear: float) -> float:
-    """Achievable rate log2(1 + snr) in bits/s/Hz."""
-    if snr_linear < 0:
+def achievable_rate(snr_linear):
+    """Achievable rate log2(1 + snr) in bits/s/Hz, elementwise for an array."""
+    if np.any(np.asarray(snr_linear) < 0):
         raise ValueError("SNR must be non-negative")
-    return float(np.log2(1.0 + snr_linear))
+    return np.log2(1.0 + snr_linear)
 
 
 def evaluate_link(
@@ -82,11 +85,12 @@ def evaluate_link(
 
     Optimal phases align every reflected term with the direct path, so the
     SNR has the closed form p_t * (|h_siso| + sum_n |h_n| |g_n|)^2 / n_0.
+    With (T, N) channels and T direct channels every field is a (T,) array.
     """
     if np.shape(h) != np.shape(g):
         raise ValueError("h and g must have equal length")
-    direct = abs(h_siso)
-    ris_path = float(np.sum(np.abs(h) * np.abs(g)))
+    direct = np.abs(h_siso)
+    ris_path = np.sum(np.abs(h) * np.abs(g), axis=-1)
     snr = budget.p_t_mw * (direct + ris_path) ** 2 / budget.n_0_mw
     return LinkResult(
         snr_linear=snr,

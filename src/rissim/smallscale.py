@@ -6,10 +6,15 @@ Ricean specular injection into the first cluster under LOS, inverse-mapped
 cluster angles (wrapped Gaussian azimuth outdoors, Laplacian indoors and for
 all zeniths) re-centered on the LOS direction, and fixed per-ray offsets with
 random coupling.
+
+Every function that draws takes ``rng``: a generator for one trial, or a
+chunk's pre-drawn variates (``channel._Variates``), whose blocks carry a
+leading trial axis. Array arguments and results then carry the same axis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,9 +33,10 @@ class ClusterSet:
     """Per-cluster delays/powers plus per-ray angles, phases and active mask.
 
     Shapes: delays and powers are (C,); ray_zenith_deg, ray_azimuth_deg,
-    phases_rad and ray_mask are (C, S). Powers sum to one before hemisphere
-    filtering; rays masked out by the filter contribute nothing to a channel
-    but their cluster power is not renormalized.
+    phases_rad and ray_mask are (C, S); a chunk of trials puts a trial axis
+    in front of each. Powers sum to one before hemisphere filtering; rays
+    masked out by the filter contribute nothing to a channel but their
+    cluster power is not renormalized.
     """
 
     delays_s: np.ndarray
@@ -54,13 +60,14 @@ def draw_delays(
         raise ValueError("cluster count must be >= 1")
     if r_tau <= 1.0:
         raise ValueError("delay scaling must exceed 1")
-    if ds <= 0.0:
+    ds = np.asarray(ds)
+    if np.any(ds <= 0.0):
         raise ValueError("delay spread must be positive")
     u = rng.uniform(size=c)
     u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    raw = -r_tau * ds * np.log(u)
-    raw.sort()
-    return raw - raw[0]
+    raw = -r_tau * ds[..., None] * np.log(u)
+    raw.sort(axis=-1)
+    return raw - raw[..., :1]
 
 
 def cluster_powers(
@@ -80,13 +87,14 @@ def cluster_powers(
     first cluster; under NLOS the K-factor is ignored.
     """
     delays_s = np.asarray(delays_s, dtype=float)
-    shadowing = rng.normal(0.0, 1.0, size=delays_s.shape) * zeta_db
+    shadowing = rng.normal(0.0, 1.0, size=delays_s.shape[-1]) * zeta_db
+    ds = np.asarray(ds)[..., None]
     pre = np.exp(-delays_s * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadowing / 10.0)
-    powers = pre / pre.sum()
+    powers = pre / pre.sum(axis=-1, keepdims=True)
     if los:
-        k_lin = 10.0 ** (k_db / 10.0)
+        k_lin = np.asarray(10.0 ** (k_db / 10.0))[..., None]
         powers = powers / (k_lin + 1.0)
-        powers[0] += k_lin / (k_lin + 1.0)
+        powers[..., :1] += k_lin / (k_lin + 1.0)
     return powers
 
 
@@ -113,17 +121,25 @@ def _cluster_centers(
 
     Under LOS the first cluster is re-centered exactly onto the LOS angle.
     """
-    ratio = np.clip(powers / powers.max(), 1e-12, 1.0)
+    spread_deg = np.asarray(spread_deg)[..., None]
+    c_scale = np.asarray(c_scale)[..., None]
+    ratio = np.clip(powers / powers.max(axis=-1, keepdims=True), 1e-12, 1.0)
     if gaussian_mapping:
         prime = 2.0 * (spread_deg / 1.4) * np.sqrt(-np.log(ratio)) / c_scale
     else:
         prime = -spread_deg * np.log(ratio) / c_scale
-    signs = rng.integers(0, 2, size=powers.shape) * 2.0 - 1.0
-    jitter = rng.normal(0.0, 1.0, size=powers.shape) * (spread_deg / 7.0)
+    signs = rng.integers(0, 2, size=powers.shape[-1]) * 2.0 - 1.0
+    jitter = rng.normal(0.0, 1.0, size=powers.shape[-1]) * (spread_deg / 7.0)
     centers = signs * prime + jitter + los_center_deg
     if los:
-        centers = centers - (signs[0] * prime[0] + jitter[0])
+        centers = centers - (signs[..., :1] * prime[..., :1] + jitter[..., :1])
     return centers
+
+
+@functools.cache
+def _offset_rows(c: int, s: int) -> np.ndarray:
+    """2C rows of 0..S-1: ``draw_ray_angles`` permutes each row."""
+    return np.broadcast_to(np.arange(s), (2 * c, s))
 
 
 def draw_ray_angles(
@@ -146,7 +162,7 @@ def draw_ray_angles(
     [0, 180].
     """
     powers = np.asarray(powers, dtype=float)
-    c = powers.shape[0]
+    c = powers.shape[-1]
     s = scenario.rays_per_cluster
     if s != len(scenario.ray_offsets):
         raise ValueError(
@@ -181,11 +197,11 @@ def draw_ray_angles(
 
     # Rows 2i and 2i+1 permute cluster i's azimuth and zenith offsets; one
     # row-wise shuffle draws them in the order of per-row permutation calls.
-    order = rng.permuted(np.broadcast_to(np.arange(s), (2 * c, s)), axis=1)
+    order = rng.permuted(_offset_rows(c, s), axis=1)
     offsets = scenario.ray_offsets[order]
 
-    azimuth = az_centers[:, None] + scenario.c_asa_deg * offsets[0::2]
-    zenith = zen_centers[:, None] + scenario.c_zsa_deg * offsets[1::2]
+    azimuth = az_centers[..., None] + scenario.c_asa_deg * offsets[..., 0::2, :]
+    zenith = zen_centers[..., None] + scenario.c_zsa_deg * offsets[..., 1::2, :]
 
     azimuth = np.mod(azimuth + 180.0, 360.0) - 180.0
     azimuth[azimuth == -180.0] = 180.0
@@ -223,5 +239,5 @@ def filter_front_hemisphere(cluster_set: ClusterSet) -> ClusterSet:
         cluster_set.ray_azimuth_deg <= 180.0
     )
     mask = cluster_set.ray_mask & in_front
-    powers = np.where(mask.any(axis=1), cluster_set.powers, 0.0)
+    powers = np.where(mask.any(axis=-1), cluster_set.powers, 0.0)
     return replace(cluster_set, ray_mask=mask, powers=powers)

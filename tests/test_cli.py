@@ -101,6 +101,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert "trails" in capsys.readouterr().err
 
+    def test_failed_points_reported_on_stderr(self, tmp_path, capsys):
+        raw = tiny_config_dict()
+        # The second placement puts the Rx behind the panel; the first is fine.
+        raw.update(ris_y_sweep=[50.0, 40.0], regime_override="near_field")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "1 of 2 sweep points failed" in captured.err
+        assert "point 1: rx lies behind the panel" in captured.err
+        assert len(captured.out.strip().split("\n")) == 3
+
     def test_trials_and_workers_flags(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config_dict()))

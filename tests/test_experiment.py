@@ -9,10 +9,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_paths
-from rissim import channel, experiment
-from rissim.channel import FieldRegime
+from conftest import make_scenario
+from rissim import experiment
+from rissim.array_response import ElementPattern
+from rissim.channel import FieldRegime, _LinkChunk, _panel_link
 from rissim.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -27,7 +30,7 @@ from rissim.experiment import (
     generate_realization,
     run_experiment,
 )
-from rissim.geometry import Point3
+from rissim.geometry import CarrierConfig, PanelGeometry, Point3
 from rissim.largescale import Environment
 from rissim.link import LinkBudget, evaluate_link
 
@@ -144,6 +147,15 @@ class TestRunExperiment:
         stats = run_experiment(config)
         assert stats.rows[1].mean_rate_bps_hz > stats.rows[0].mean_rate_bps_hz
 
+    @pytest.mark.parametrize("seed", [0, 7, 2024, 2**40 + 3])
+    def test_trial_rngs_match_spawned_children(self, seed):
+        for index in (0, 1, 329):
+            for trial in (0, 1, 1999):
+                direct = _trial_rngs(seed, index, trial)
+                spawned = reference_paths.trial_rngs(seed, index, trial)
+                for a, b in zip(direct, spawned, strict=True):
+                    assert a.bit_generator.state == b.bit_generator.state
+
     def test_trial_rng_streams_are_independent_of_order(self):
         a = _trial_rngs(5, 3, 7)[0].standard_normal(4)
         _ = _trial_rngs(5, 0, 0)[0].standard_normal(4)
@@ -169,46 +181,185 @@ class TestRunExperiment:
 
 
 class TestFastPathMatchesReference:
-    """The trial path against one built from the reference assembly and angle draws."""
+    """The chunked engine against the per-trial reference path of ``reference_paths``."""
+
+    @staticmethod
+    def reference(config, index, point):
+        """Per-trial (snr, h, g, tx_ris LOS, tx_rx LOS) of the reference path."""
+        out = []
+        for t in range(config.trials):
+            h, g, h_siso, los_h, los_siso = reference_paths.trial_channels(config, index, point, t)
+            snr = reference_paths.trial_snr(h, g, h_siso, point.p_t_dbm, config.n_0_dbm)
+            out.append((snr, h, g, los_h, los_siso))
+        return out
+
+    @staticmethod
+    def engine(channels, point, config, bounds):
+        """Per-trial SNR, tx_ris LOS and tx_rx LOS of the engine over chunks [a, b).
+
+        The fourth value says whether a chunk held both LOS and NLOS Tx-RIS trials.
+        """
+        budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
+        snrs, los_h, los_siso, mixed = [], [], [], False
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            chunk = channels.chunk(range(start, stop))
+            snrs.extend(evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget).snr_linear)
+            link_h = chunk.links["tx_ris"]
+            if link_h is not None:
+                los_h.extend(link_h.los)
+                mixed = mixed or 0 < link_h.los.sum() < link_h.los.size
+            los_siso.extend(chunk.links["tx_rx"].los)
+        return np.array(snrs), los_h, los_siso, mixed
 
     @pytest.mark.parametrize(
         "preset, indices",
         [
             ("fig5a", (0, 164, 329)),
-            # N=16, N=4096 and the no-RIS point.
+            # N=16 (far field), N=4096 (near field) and the no-RIS point.
             ("fig4", (0, 4, 5)),
             ("fig3a", (0, 5)),
             ("fig5b", (0, 29)),
         ],
     )
-    def test_per_trial_snr(self, monkeypatch, preset, indices):
-        config = replace(figure_presets()[preset], trials=4)
+    def test_per_trial_snr(self, preset, indices):
+        config = replace(figure_presets()[preset], trials=12)
         points = config.sweep_points()
-
-        def trials():
-            out = []
-            for i in indices:
-                budget = LinkBudget.from_dbm(points[i].p_t_dbm, config.n_0_dbm)
-                channels = _PointChannels(config, i).place(points[i])
-                for t in range(config.trials):
-                    real = channels.trial(t)
-                    snr = evaluate_link(real.h, real.g, real.h_siso, budget).snr_linear
-                    out.append((snr, real.h, real.g))
-            return out
-
+        saw_mixed_chunk = False
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fast = trials()
-            monkeypatch.setattr(
-                channel, "_assemble_panel_channel", reference_paths.assemble_panel_channel
+            for i in indices:
+                reference = self.reference(config, i, points[i])
+                channels = _PointChannels(config, i).place(points[i])
+                step = channels.chunk_trials
+                bounds = list(range(0, config.trials, step)) + [config.trials]
+                snrs, los_h, los_siso, mixed = self.engine(channels, points[i], config, bounds)
+                saw_mixed_chunk = saw_mixed_chunk or mixed
+                for t, (ref_snr, ref_h, ref_g, ref_los_h, ref_los_siso) in enumerate(reference):
+                    assert snrs[t] == pytest.approx(ref_snr, rel=1e-10)
+                    assert los_siso[t] == ref_los_siso
+                    assert (los_h[t] if los_h else None) == ref_los_h
+                    real = channels.trial(t)
+                    assert real.metadata["tx_rx"].state.los == ref_los_siso
+                    for vector, ref_vector in ((real.h, ref_h), (real.g, ref_g)):
+                        scale = np.abs(ref_vector).max(initial=0.0)
+                        np.testing.assert_allclose(
+                            vector, ref_vector, rtol=0.0, atol=1e-10 * scale
+                        )
+        if preset == "fig5a":
+            # The Tx-RIS link is drawn LOS or NLOS, so chunks hold both.
+            assert saw_mixed_chunk
+
+    def test_fully_shadowed_trials_in_a_chunk(self):
+        # A grazing Tx with the widest azimuth spread drops every ray of some draws.
+        panel = PanelGeometry.centered(Point3(0, 0, 3.0), 16, 0.05, "+y")
+        tx, carrier = Point3(49, 10, 4.0), CarrierConfig(2.4)
+        params = make_scenario(k_db=3.0, lg_asa=np.log10(104.0))
+        overrides = {True: params, False: params}
+        link = _panel_link(
+            "tx_ris", Environment.INH, tx, panel, carrier, ElementPattern(), "reference",
+            overrides,
+        )
+        seeds = range(40)
+        chunk = _LinkChunk.generate(link, [link.draw(np.random.default_rng(s)) for s in seeds])
+        shadowed = []
+        for i, seed in enumerate(seeds):
+            ref_h, ref_state, ref_clusters = reference_paths.tx_ris_channel(
+                Environment.INH, tx, panel, carrier, np.random.default_rng(seed),
+                scenario_overrides=overrides,
             )
-            monkeypatch.setattr(channel, "draw_ray_angles", reference_paths.draw_ray_angles)
-            reference = trials()
-        for (snr, h, g), (ref_snr, ref_h, ref_g) in zip(fast, reference):
-            assert snr == pytest.approx(ref_snr, rel=1e-10)
-            for vector, ref_vector in ((h, ref_h), (g, ref_g)):
-                scale = np.abs(ref_vector).max(initial=0.0)
-                np.testing.assert_allclose(vector, ref_vector, rtol=0.0, atol=1e-10 * scale)
+            meta = chunk.metadata(i)
+            assert meta.state == ref_state
+            assert meta.fully_shadowed == (not ref_clusters.ray_mask.any())
+            np.testing.assert_array_equal(meta.cluster_set.ray_mask, ref_clusters.ray_mask)
+            scale = np.abs(ref_h).max(initial=0.0)
+            np.testing.assert_allclose(chunk.values[i], ref_h, rtol=0.0, atol=1e-10 * scale)
+            shadowed.append(meta.fully_shadowed)
+        assert any(shadowed) and not all(shadowed)
+        assert not np.any(chunk.values[shadowed])
+
+    @pytest.mark.parametrize("preset, index", [("fig5a", 0), ("fig3a", 0), ("fig4", 0)])
+    def test_chunk_boundaries_do_not_change_trials(self, preset, index):
+        config = replace(figure_presets()[preset], trials=14)
+        point = config.sweep_points()[index]
+        channels = _PointChannels(config, index).place(point)
+        results = []
+        for bounds in (
+            list(range(15)),
+            [0, 3, 6, 9, 12, 14],
+            list(range(0, 14, channels.chunk_trials)) + [14],
+            [0, 5, 6, 14],
+        ):
+            results.append(self.engine(channels, point, config, bounds)[:3])
+        snrs, los_h, los_siso = results[0]
+        for other_snrs, other_los_h, other_los_siso in results[1:]:
+            np.testing.assert_allclose(other_snrs, snrs, rtol=1e-12, atol=0.0)
+            assert other_los_h == los_h
+            assert other_los_siso == los_siso
+
+    @given(
+        env=st.sampled_from(list(Environment)),
+        side=st.sampled_from([1, 2, 3, 8, 16]),
+        regime=st.sampled_from([None, FieldRegime.FAR_FIELD, FieldRegime.NEAR_FIELD]),
+        ris=st.tuples(st.floats(10.0, 90.0), st.floats(50.5, 70.0), st.floats(1.0, 12.0)),
+        rx=st.tuples(st.floats(10.0, 90.0), st.floats(0.0, 50.0), st.floats(0.5, 12.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_placements_match_reference(self, env, side, regime, ris, rx, seed):
+        config = ExperimentConfig(
+            name="random",
+            environment=env,
+            f_c_ghz=3.5,
+            tx=Point3(0.0, 20.0, 10.0),
+            rx=Point3(*rx),
+            ris_center=Point3(*ris),
+            n_elements=(side * side,),
+            boresight="-y",
+            trials=3,
+            master_seed=seed,
+            regime_override=regime,
+        )
+        point = config.sweep_points()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = self.reference(config, 0, point)
+            channels = _PointChannels(config, 0).place(point)
+            snrs, los_h, los_siso, _ = self.engine(channels, point, config, [0, 3])
+        for t, (ref_snr, _, _, ref_los_h, ref_los_siso) in enumerate(reference):
+            assert snrs[t] == pytest.approx(ref_snr, rel=1e-10)
+            assert (los_h[t], los_siso[t]) == (ref_los_h, ref_los_siso)
+
+
+_unchecked_trial_rngs = experiment._trial_rngs
+
+
+def trial_rngs_failing_at_point_1(master_seed, sweep_index, trial):
+    if sweep_index == 1 and trial == 2:
+        raise RuntimeError("trial failed")
+    return _unchecked_trial_rngs(master_seed, sweep_index, trial)
+
+
+def trial_rngs_interrupted(master_seed, sweep_index, trial):
+    raise KeyboardInterrupt
+
+
+class TestFailureScope:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exception_in_a_trial_becomes_that_points_error_row(self, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_1)
+        config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
+        stats = run_experiment(config, workers=workers)
+        assert [row.index for row in stats.rows] == [0, 1, 2]
+        assert stats.rows[1].error == "RuntimeError: trial failed"
+        assert math.isnan(stats.rows[1].mean_rate_bps_hz)
+        for row in (stats.rows[0], stats.rows[2]):
+            assert row.error is None
+            assert math.isfinite(row.mean_rate_bps_hz) and row.trials == 4
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_config(trials=2))
 
 
 _unchecked_run_sweep_point = experiment._run_sweep_point
