@@ -56,6 +56,11 @@ from .smallscale import (
 )
 
 
+# Working-set budget of one chunk of trials, in bytes; a chunk's steering
+# block is built in tiles within the same budget.
+_CHUNK_BYTES = 1 << 20
+
+
 class FieldRegime(Enum):
     FAR_FIELD = "far_field"
     NEAR_FIELD = "near_field"
@@ -102,14 +107,17 @@ class _Variates:
     leading trial axis (``_Link.draw`` makes the draws). The stages ask for
     their draws in the same order, so each draw call returns the next block;
     its per-trial shape must be the size the call asks for. The distribution
-    arguments are those ``_Link.draw`` used and are not read.
+    arguments are those ``_Link.draw`` used and are not read. Each block is
+    taken out of ``blocks`` when it is handed out, so it is freed once its
+    stage is done with it.
     """
 
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
+    def __init__(self, blocks: list):
+        blocks.reverse()
+        self._blocks = blocks
 
     def _next(self, size) -> np.ndarray:
-        block = next(self._blocks)
+        block = self._blocks.pop()
         if block.shape[1:] != (size if isinstance(size, tuple) else (size,)):
             raise RuntimeError(f"draw of shape {size} replayed from a block of {block.shape}")
         return block
@@ -146,9 +154,9 @@ def _assemble_panel_channel(
     doubling from one complex exponential per ray.
 
     A cluster set with a leading trial axis (and ``pl_linear`` of shape (T,))
-    gives one vector per trial, shape (T, N): the factors of every trial's
-    surviving rays form one block, and each trial's product takes its own
-    columns of it.
+    gives one vector per trial, shape (T, N). The factors are built in tiles
+    of whole trials, each tile's (side, 2R) block within ``_CHUNK_BYTES``,
+    and each trial's product takes its own columns of its tile's block.
     """
     mask = cluster_set.ray_mask
     lead = mask.shape[:-2]
@@ -168,24 +176,40 @@ def _assemble_panel_channel(
     )
     a, b = steering_phase_factors(zenith, surviving(cluster_set.ray_azimuth_deg), convention)
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
-    base = np.exp(1j * kd * np.concatenate((a, b)))
-    # Row k holds base**k, the factors of element index k: column (a) rays,
-    # then row (b) rays. Each pass extends the known rows 0..step-1 by
-    # multiplying them with base**step.
-    factors = np.empty((panel.side, base.size), dtype=complex)
-    factors[0] = 1.0
-    step = 1
-    while step < panel.side:
-        count = min(step, panel.side - step)
-        np.multiply(factors[:count], factors[step - 1] * base, out=factors[step : step + count])
-        step += count
-    col_factors, row_factors = factors[:, : zenith.size], factors[:, zenith.size :]
-    row_factors *= coeffs
-    grid = np.zeros((mask.shape[0], panel.side, panel.side), dtype=complex)
-    bounds = np.searchsorted(trial, np.arange(mask.shape[0] + 1))
-    for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi > lo:
-            grid[t] = row_factors[:, lo:hi] @ col_factors[:, lo:hi].T
+    n_trials = mask.shape[0]
+    grid = np.zeros((n_trials, panel.side, panel.side), dtype=complex)
+    bounds = np.searchsorted(trial, np.arange(n_trials + 1))
+    # A tile holds two complex factors per element index for each of its
+    # rays, and as many whole trials as fit _CHUNK_BYTES (at least one).
+    tile_rays = _CHUNK_BYTES // (2 * 16 * panel.side)
+    first = 0
+    while first < n_trials:
+        last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + tile_rays, "right")) - 1)
+        lo, hi = bounds[first], bounds[last]
+        base = np.exp(1j * kd * np.stack((a[lo:hi], b[lo:hi])))[:, None, :]
+        # factors[:, k] holds base**k, the column (a) and row (b) factors of
+        # element index k. Each pass extends the known indices 0..step-1 by
+        # multiplying them with base**step.
+        factors = np.empty((2, panel.side, hi - lo), dtype=complex)
+        factors[:, 0] = 1.0
+        step = 1
+        while step < panel.side:
+            count = min(step, panel.side - step)
+            np.multiply(
+                factors[:, :count],
+                factors[:, step - 1 : step] * base,
+                out=factors[:, step : step + count],
+            )
+            step += count
+        col_factors, row_factors = factors
+        row_factors *= coeffs[lo:hi]
+        for t in range(first, last):
+            start, stop = bounds[t] - lo, bounds[t + 1] - lo
+            if stop > start:
+                grid[t] = row_factors[:, start:stop] @ col_factors[:, start:stop].T
+        # Free this tile's block before the next one is allocated.
+        del factors, col_factors, row_factors
+        first = last
     return grid.reshape(lead + (panel.n_elements,))
 
 
@@ -365,18 +389,26 @@ class _LinkChunk:
 
     @classmethod
     def generate(cls, link: _Link, draws: list) -> "_LinkChunk":
-        """Map ``link.draw`` results of a chunk's trials, grouped by LOS state."""
+        """Map ``link.draw`` results of a chunk's trials, grouped by LOS state.
+
+        Empties ``draws`` once each LOS state's draws are stacked, so the
+        chunk holds every draw once while its stages run.
+        """
         los = np.array([state for state, _ in draws], dtype=bool)
-        shape = (len(draws),) if link.panel is None else (len(draws), link.panel.n_elements)
-        values = np.empty(shape, dtype=complex)
-        groups = []
+        stacked = []
         for state in (True, False):
             trials = np.flatnonzero(los == state)
             if trials.size:
                 blocks = [np.array(column) for column in zip(*(draws[i][1] for i in trials))]
-                value, *rest = link.map_draws(state, _Variates(blocks))
-                values[trials] = value
-                groups.append((trials, *rest))
+                stacked.append((state, trials, blocks))
+        draws.clear()
+        shape = los.shape if link.panel is None else (los.size, link.panel.n_elements)
+        values = np.empty(shape, dtype=complex)
+        groups = []
+        for state, trials, blocks in stacked:
+            value, *rest = link.map_draws(state, _Variates(blocks))
+            values[trials] = value
+            groups.append((trials, *rest))
         return cls(link, los, values, tuple(groups))
 
     def metadata(self, i: int) -> LinkMetadata:

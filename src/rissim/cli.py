@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiment import ExperimentConfig, figure_presets, run_experiment
+from .experiment import ExperimentConfig, _trial_rngs, figure_presets, run_experiment
 from .geometry import Point3
 from .largescale import Environment, load_scenario_params
 from .channel import nearfield_plate_gain
@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
         with open(args.config, "r") as f:
             config = ExperimentConfig.from_dict(json.load(f))
         config = _apply_overrides(config, args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return _run_and_emit(config, args)
@@ -175,6 +175,17 @@ def _cmd_validate() -> int:
             eigs = np.linalg.eigvalsh(params.correlation_factor() @ params.correlation_factor())
             ok = ok and eigs.min() > -1e-9
     report("shipped correlation matrices are PSD", ok)
+
+    # The trial generators reproduce SeedSequence's key derivation; a numpy
+    # whose SeedSequence derives other states would change every result.
+    ok = True
+    for seed in (0, 2**32, 2**70 + 5):
+        for index, trial in ((0, 0), (329, 1999), (2**40, 3), (7, 2**40)):
+            for k, generator in enumerate(_trial_rngs(seed, index, trial)):
+                key = np.random.SeedSequence(seed, spawn_key=(index, trial, k))
+                expected = np.random.Generator(np.random.PCG64(key))
+                ok = ok and generator.bit_generator.state == expected.bit_generator.state
+    report("trial generators match their SeedSequence keys", ok)
 
     return EXIT_OK if failures == 0 else EXIT_RUNTIME_ERROR
 

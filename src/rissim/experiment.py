@@ -12,6 +12,7 @@ import ctypes
 import functools
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -19,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .array_response import ElementPattern
+from .array_response import STEERING_CONVENTIONS, ElementPattern
 # The engine calls no one-trial link function; tx_ris_channel, ris_rx_farfield
 # and siso_channel stay importable here, where benchmarks/layertrace.py wraps them.
 from .channel import (  # noqa: F401
+    _CHUNK_BYTES,
     ChannelRealization,
     FieldRegime,
     _direct_link,
@@ -122,6 +124,23 @@ class ExperimentConfig:
         for axis in (self.ris_x_sweep, self.ris_y_sweep, self.ris_z_sweep):
             if axis is not None and len(axis) == 0:
                 raise ValueError("sweep axes must be non-empty when given")
+        # ``not value > 0`` also rejects NaN.
+        for key in ("f_c_ghz", "element_pattern_q", "spacing_m"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ValueError(f"{key} must be positive, got {value}")
+        if self.boresight not in ("+y", "-y"):
+            raise ValueError(f"boresight must be '+y' or '-y', got {self.boresight!r}")
+        if self.steering_convention not in STEERING_CONVENTIONS:
+            raise ValueError(
+                f"steering_convention must be one of {', '.join(STEERING_CONVENTIONS)}, "
+                f"got {self.steering_convention!r}"
+            )
+        bad = [n for n in self.n_elements if n < 0 or math.isqrt(n) ** 2 != n]
+        if bad:
+            raise ValueError(f"n_elements entries must be 0 or perfect squares, got {bad}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def spacing(self) -> float:
         """Inter-element spacing: configured value or half a wavelength."""
@@ -182,13 +201,22 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
+        def sequence(key, value):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+            return value
+
         def point(key):
-            x, y, z = raw[key]
-            return Point3(float(x), float(y), float(z))
+            value = sequence(key, raw[key])
+            if len(value) != 3:
+                raise ValueError(f"{key} must be a list of three coordinates, got {value!r}")
+            return Point3(*(float(v) for v in value))
 
         def axis(key):
             value = raw.get(key)
-            return tuple(float(v) for v in value) if value else None
+            if value is None:
+                return None
+            return tuple(float(v) for v in sequence(key, value)) or None
 
         override = raw.get("regime_override")
         return cls(
@@ -198,7 +226,7 @@ class ExperimentConfig:
             tx=point("tx"),
             rx=point("rx"),
             ris_center=point("ris_center"),
-            n_elements=tuple(int(n) for n in raw["n_elements"]),
+            n_elements=tuple(int(n) for n in sequence("n_elements", raw["n_elements"])),
             ris_x_sweep=axis("ris_x_sweep"),
             ris_y_sweep=axis("ris_y_sweep"),
             ris_z_sweep=axis("ris_z_sweep"),
@@ -265,36 +293,148 @@ class RateStats:
             f.write(text)
 
 
+# Constants of numpy's ``SeedSequence``: the hash that fills its entropy
+# pool, the mix of two pool words and the hash that reads the pool out.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# The readout's hash constants: word j is xor-ed with entry j, multiplied by entry j + 1.
+_READOUT = tuple(_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32 for j in range(9))
+
+
+def _words32(value: int) -> list:
+    """A non-negative integer as little-endian 32-bit words; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seeds and spawn keys must be >= 0, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix_in(pool: tuple, hash_const: int, words) -> tuple:
+    """(pool, hash constant) after mixing entropy words past the pool size.
+
+    Every word is hashed once per pool word and mixed into it, as
+    ``SeedSequence`` does with entropy beyond its first four words.
+    """
+    for word in words:
+        mixed = []
+        for current in pool:
+            next_const = hash_const * _MULT_A & _MASK32
+            value = (word ^ hash_const) * next_const & _MASK32
+            hash_const = next_const
+            value = (_MIX_L * current - _MIX_R * (value ^ value >> 16)) & _MASK32
+            mixed.append(value ^ value >> 16)
+        pool = tuple(mixed)
+    return pool, hash_const
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple:
+    """(pool, hash constant) of ``SeedSequence(master_seed, spawn_key=...)``
+    after the seed's own words, before the spawn key's.
+
+    With a spawn key the seed's words are padded with zeros to the pool size.
+    """
+    entropy = _words32(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = value ^ value >> 16
+    return _mix_in(tuple(pool), hash_const, entropy[_POOL_SIZE:])
+
+
+def _state_words(pool: tuple) -> list:
+    """``generate_state(4, uint64)`` of a ``SeedSequence`` with this pool."""
+    out = []
+    for j in range(8):
+        value = (pool[j % _POOL_SIZE] ^ _READOUT[j]) * _READOUT[j + 1] & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[j] | out[j + 1] << 32 for j in range(0, 8, 2)]
+
+
+@functools.cache
+def _generator_from_words():
+    """A function of four uint64 state words to ``Generator(PCG64(...))``.
+
+    Imports ``numpy.random`` on first use, so importing rissim does not.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed that hands ``PCG64`` its four precomputed state words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("StateWords holds four uint64 words")
+            return np.array(self.words, dtype=np.uint64)
+
+    return lambda words: Generator(PCG64(StateWords(words)))
+
+
 def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
     """Three independent generators (h, direct, g) for one trial.
 
-    Child k is the k-th child ``spawn`` would make of
-    ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``, built
-    directly.
+    Generator k is ``Generator(PCG64(SeedSequence(master_seed,
+    spawn_key=(sweep_index, trial, k))))``, the k-th child ``spawn`` would
+    make of ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``.
+    Its state words are computed here with ``SeedSequence``'s integer
+    arithmetic: the seed's part of the pool once per seed, the shared
+    (sweep_index, trial) part once per trial.
     """
+    pool, hash_const = _seed_pool(master_seed)
+    pool, hash_const = _mix_in(pool, hash_const, _words32(sweep_index) + _words32(trial))
+    make = _generator_from_words()
     return tuple(
-        np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(sweep_index, trial, k)))
-        )
-        for k in range(3)
+        make(_state_words(_mix_in(pool, hash_const, (k,))[0])) for k in range(3)
     )
 
-
-# Working-set budget of one chunk of trials, in bytes.
-_CHUNK_BYTES = 1 << 20
 
 # The links of a trial in the order of the generators ``_trial_rngs`` returns.
 _STREAMS = ("tx_ris", "tx_rx", "ris_rx")
 
 
-def _chunk_trials(side: int, rays: int) -> int:
+def _chunk_trials(links) -> int:
     """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
 
-    One trial's panel link holds complex (side, 2R) steering factors, R
-    per-ray coefficients and a side x side grid, for at most R = C*S rays.
-    The estimate depends on the point alone, never on ``workers``.
+    Counts what the stages hold per trial, as measured with tracemalloc: for
+    each of the C*S rays about eight float64 values on a panel link (the
+    stacked draws, ray angles, phases, mask, the surviving rays' values) and
+    four on the direct link, and on a panel link 64 bytes per element (the
+    complex assembly grid and channel vector, and link evaluation's float
+    temporaries). The steering block is left out: assembly builds it in
+    tiles within the same budget. The estimate depends on the point alone,
+    never on ``workers``.
     """
-    per_trial = 16 * (rays * (2 * side + 1) + side * side)
+    per_trial = 0
+    for link in links:
+        rays = max(p.cluster_count * p.rays_per_cluster for p in link.params.values())
+        if link.panel is None:
+            per_trial += 8 * 4 * rays
+        else:
+            per_trial += 8 * 8 * rays + 64 * link.panel.n_elements
     return max(1, _CHUNK_BYTES // per_trial)
 
 
@@ -362,13 +502,7 @@ class _PointChannels:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, *panel_args)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
-        rays = max(
-            p.cluster_count * p.rays_per_cluster
-            for link in links.values()
-            if link is not None
-            for p in link.params.values()
-        )
-        self.chunk_trials = _chunk_trials(self.panel.side if self.panel else 0, rays)
+        self.chunk_trials = _chunk_trials(link for link in links.values() if link is not None)
         return self
 
     def chunk(self, trials) -> _Chunk:

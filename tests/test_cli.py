@@ -101,6 +101,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert "trails" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("f_c_ghz", 0), ("boresight", "+x"), ("n_elements", 64)]
+    )
+    def test_bad_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
+        raw = tiny_config_dict()
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict()))
+        assert main(["run", "--config", str(path), "--seed", "-1"]) == 1
+        assert "master_seed" in capsys.readouterr().err
+
     def test_failed_points_reported_on_stderr(self, tmp_path, capsys):
         raw = tiny_config_dict()
         # The second placement puts the Rx behind the panel; the first is fine.
@@ -130,6 +147,7 @@ class TestValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "PASS trial generators match their SeedSequence keys" in out
 
 
 class TestBadUsage:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_paths
 from conftest import make_scenario
-from rissim import experiment
+from rissim import channel, experiment
 from rissim.array_response import ElementPattern
 from rissim.channel import FieldRegime, _LinkChunk, _panel_link
 from rissim.experiment import (
@@ -82,6 +86,36 @@ class TestConfig:
         raw["trails"] = 5
         raw["seed"] = 1
         with pytest.raises(ValueError, match="unknown config keys: seed, trails"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("f_c_ghz", 0.0),
+            ("f_c_ghz", float("nan")),
+            ("element_pattern_q", -0.5),
+            ("spacing_m", 0.0),
+            ("boresight", "+x"),
+            ("steering_convention", "mirrored"),
+            ("n_elements", (64, 15)),
+            ("n_elements", (-4,)),
+            ("master_seed", -1),
+        ],
+    )
+    def test_rejects_bad_values_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            small_config(**{key: value})
+
+    def test_accepts_the_no_ris_entry(self):
+        assert small_config(n_elements=(0, 1, 64)).n_elements == (0, 1, 64)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_elements", 64), ("ris_z_sweep", 5), ("tx", 5), ("tx", [1.0, 2.0])]
+    )
+    def test_from_dict_rejects_a_scalar_for_a_list(self, key, value):
+        raw = small_config().to_dict()
+        raw[key] = value
+        with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(raw)
 
     def test_default_spacing_is_half_wavelength(self):
@@ -161,6 +195,31 @@ class TestRunExperiment:
         _ = _trial_rngs(5, 0, 0)[0].standard_normal(4)
         b = _trial_rngs(5, 3, 7)[0].standard_normal(4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**70 + 5, 2**128 + 3, 2**200 + 11])
+    @pytest.mark.parametrize("index, trial", [(2**32, 0), (5, 2**40), (2**64 + 1, 2**33 + 7)])
+    def test_trial_rngs_match_seed_sequence_for_multiword_seeds_and_keys(
+        self, seed, index, trial
+    ):
+        for k, generator in enumerate(_trial_rngs(seed, index, trial)):
+            key = np.random.SeedSequence(seed, spawn_key=(index, trial, k))
+            expected = np.random.Generator(np.random.PCG64(key))
+            assert generator.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_trial_rngs_reject_negative_seeds_and_keys(self, args):
+        with pytest.raises(ValueError, match=">= 0"):
+            _trial_rngs(*args)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        package_root = os.path.dirname(os.path.dirname(experiment.__file__))
+        code = "import sys, rissim; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": package_root}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "preset, index, rate, snr_db",
@@ -328,6 +387,48 @@ class TestFastPathMatchesReference:
         for t, (ref_snr, _, _, ref_los_h, ref_los_siso) in enumerate(reference):
             assert snrs[t] == pytest.approx(ref_snr, rel=1e-10)
             assert (los_h[t], los_siso[t]) == (ref_los_h, ref_los_siso)
+
+
+class TestChunkWorkingSet:
+    @staticmethod
+    def place(preset, n_elements, trials=64):
+        config = replace(figure_presets()[preset], trials=trials, n_elements=(n_elements,))
+        point = config.sweep_points()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return _PointChannels(config, 0).place(point), point
+
+    @pytest.mark.parametrize("preset, n_elements", [("fig5a", 1024), ("fig3a", 64)])
+    def test_one_trial_per_tile_gives_identical_assembly(
+        self, monkeypatch, preset, n_elements
+    ):
+        channels, _ = self.place(preset, n_elements)
+        trials = range(3, 3 + channels.chunk_trials)
+        assert len(trials) > 1
+        tiled = channels.chunk(trials)
+        monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+        one_per_tile = channels.chunk(trials)
+        np.testing.assert_array_equal(one_per_tile.h, tiled.h)
+        np.testing.assert_array_equal(one_per_tile.g, tiled.g)
+
+    @pytest.mark.parametrize(
+        "preset, n_elements",
+        # InH and UMi far field (two panel links) at N=64, UMi near and far field at N=4096.
+        [("fig3a", 64), ("fig5a", 64), ("fig4", 4096), ("fig5a", 4096)],
+    )
+    def test_chunk_peak_memory_within_twice_the_budget(self, preset, n_elements):
+        channels, point = self.place(preset, n_elements)
+        budget = LinkBudget.from_dbm(point.p_t_dbm, channels.config.n_0_dbm)
+        size = channels.chunk_trials
+        channels.chunk(range(size))  # Fill lazy caches before measuring.
+        tracemalloc.start()
+        try:
+            chunk = channels.chunk(range(size, 2 * size))
+            evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * channel._CHUNK_BYTES
 
 
 _unchecked_trial_rngs = experiment._trial_rngs

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rissim.link import (
     LinkBudget,
@@ -153,3 +155,52 @@ class TestEvaluateLink:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             evaluate_link(np.ones(2), np.ones(3), 0.0, LinkBudget())
+
+
+@st.composite
+def trial_channels(draw):
+    """(T, N) channels h and g and T direct channels, entries of magnitude <= 10."""
+    trials = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    parts = draw(arrays(np.float64, (6, trials, n), elements=st.floats(-10.0, 10.0)))
+    h = parts[0] + 1j * parts[1]
+    g = parts[2] + 1j * parts[3]
+    return h, g, parts[4, :, 0] + 1j * parts[5, :, 0]
+
+
+class TestTrialAxisProperties:
+    """``evaluate_link`` on a chunk: (T, N) channels and T direct channels."""
+
+    budget = LinkBudget(1.0, 1.0)
+
+    @given(channels=trial_channels())
+    def test_rows_equal_the_one_trial_form(self, channels):
+        h, g, h_siso = channels
+        snrs = evaluate_link(h, g, h_siso, self.budget).snr_linear
+        for t in range(h.shape[0]):
+            one = evaluate_link(h[t], g[t], h_siso[t], self.budget).snr_linear
+            # The abs of a complex scalar and of an array may differ in the last bit.
+            assert snrs[t] == pytest.approx(one, rel=1e-14, abs=1e-300)
+
+    @given(channels=trial_channels())
+    def test_never_falls_as_elements_are_appended(self, channels):
+        h, g, h_siso = channels
+        previous = evaluate_link(h[:, :0], g[:, :0], h_siso, self.budget).snr_linear
+        for n in range(1, h.shape[1] + 1):
+            snr = evaluate_link(h[:, :n], g[:, :n], h_siso, self.budget).snr_linear
+            assert np.all(snr >= previous * (1.0 - 1e-12))
+            previous = snr
+
+    @given(
+        channels=trial_channels(),
+        angles=arrays(np.float64, (3, 6), elements=st.floats(-np.pi, np.pi)),
+    )
+    def test_invariant_under_a_common_phase_rotation(self, channels, angles):
+        h, g, h_siso = channels
+        trials = h.shape[0]
+        rotate_h, rotate_g, rotate_direct = np.exp(1j * angles[:, :trials])
+        base = evaluate_link(h, g, h_siso, self.budget).snr_linear
+        rotated = evaluate_link(
+            h * rotate_h[:, None], g * rotate_g[:, None], h_siso * rotate_direct, self.budget
+        ).snr_linear
+        np.testing.assert_allclose(rotated, base, rtol=1e-12, atol=1e-300)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import reference_paths
 from conftest import ScriptedRng, make_scenario
+from rissim.channel import _Variates
 from rissim.geometry import SphericalAngles
 from rissim.largescale import Environment, LargeScaleParams, load_scenario_params
 from rissim.smallscale import (
@@ -279,3 +282,37 @@ class TestFilterFrontHemisphere:
         out = filter_front_hemisphere(cs)
         assert out.fully_shadowed
         assert not cs.fully_shadowed
+
+
+class TestClusterPowersTrialAxis:
+    """``cluster_powers`` on a chunk: (T, C) delays, (T,) spreads and K-factors."""
+
+    @given(
+        data=st.data(),
+        trials=st.integers(1, 6),
+        c=st.integers(1, 20),
+        r_tau=st.floats(1.5, 4.0),
+        zeta_db=st.floats(0.0, 8.0),
+        los=st.booleans(),
+    )
+    def test_unit_sum_per_trial_with_los_floor(self, data, trials, c, r_tau, zeta_db, los):
+        ds = data.draw(arrays(np.float64, trials, elements=st.floats(1e-8, 1e-6)))
+        k_db = data.draw(arrays(np.float64, trials, elements=st.floats(-10.0, 20.0)))
+        steps = data.draw(arrays(np.float64, (trials, c), elements=st.floats(0.0, 1e-7)))
+        delays = np.cumsum(steps, axis=1) - steps[:, :1]
+        normals = data.draw(arrays(np.float64, (trials, c), elements=st.floats(-3.0, 3.0)))
+        powers = cluster_powers(
+            delays, r_tau, ds, zeta_db, k_db, los, _Variates([normals])
+        )
+        assert powers.shape == (trials, c)
+        np.testing.assert_allclose(powers.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(powers >= 0.0)
+        if los:
+            k_lin = 10.0 ** (k_db / 10.0)
+            assert np.all(powers[:, 0] >= k_lin / (k_lin + 1.0) * (1.0 - 1e-12))
+        for t in range(trials):
+            one = cluster_powers(
+                delays[t], r_tau, ds[t], zeta_db, k_db[t], los, ScriptedRng(normals=normals[t])
+            )
+            # Scalar and array powers of ten may differ in the last bit.
+            np.testing.assert_allclose(powers[t], one, rtol=1e-14, atol=0.0)
