@@ -1,12 +1,10 @@
-"""RIS element radiation pattern and planar-array steering vector."""
+"""RIS element radiation pattern and planar-array steering phase factors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import PanelGeometry, SphericalAngles
 
 STEERING_CONVENTIONS = ("reference", "textbook")
 
@@ -58,20 +56,3 @@ def steering_phase_factors(
         return np.cos(zen), np.sin(zen) * np.cos(azi)
     return np.sin(zen) * np.cos(azi), np.cos(zen)
 
-
-def steering_vector(
-    panel: PanelGeometry,
-    angles: SphericalAngles,
-    wavelength_m: float,
-    convention: str = "reference",
-) -> np.ndarray:
-    """Array response of the panel toward one direction, shape (N,) complex.
-
-    All entries have unit modulus and the first entry is exactly 1.
-    """
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
-    a, b = steering_phase_factors(angles.zenith_deg, angles.azimuth_deg, convention)
-    x_off, z_off = panel.element_offsets()
-    k = 2.0 * np.pi / wavelength_m
-    return np.exp(1j * k * (x_off * a + z_off * b))

@@ -7,10 +7,11 @@ All stochastic links are narrowband: cluster delays only shape the power and
 angle statistics, and the output is a single complex coefficient per element.
 
 A stochastic link's constants (``_Link``) are computed once per sweep point.
-A chunk of trials is generated in two phases: ``_Link.draw`` makes each
-trial's draws from that trial's generator, then ``_Link.map_draws`` runs the
-stages once on the draws of all trials in one LOS state, with a leading
-trial axis. The one-trial functions below are the same code on a chunk of one.
+A chunk of trials is generated in two phases: ``_Link.draw``, the one
+statement of the draw order, makes each trial's draws from its generator;
+``_Link.map_draws`` then feeds the draws of all trials in one LOS state,
+stacked on a trial axis, to the stages' pure mappings. The one-trial
+functions below are the same code on a chunk of one.
 """
 
 from __future__ import annotations
@@ -38,22 +39,25 @@ from .largescale import (
     LargeScaleParams,
     LinkState,
     ScenarioParams,
-    assign_link_state,  # noqa: F401 (a layer benchmarks/layertrace.py wraps here)
-    draw_lsps,
     load_scenario_params,
     los_probability,
+    lsps_from_normals,
     path_loss_db,
 )
 from .smallscale import (
     ClusterSet,
     _offset_rows,
     build_cluster_set,
-    cluster_powers,
-    draw_delays,
-    draw_phases,
-    draw_ray_angles,
+    delays_from_uniforms,
     filter_front_hemisphere,
+    phases_from_uniforms,
+    powers_from_normals,
+    ray_angles_from,
 )
+
+# Layers benchmarks/layertrace.py wraps where this module looks them up.
+from .largescale import assign_link_state, draw_lsps  # noqa: F401
+from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angles  # noqa: F401
 
 
 # Working-set budget of one chunk of trials, in bytes; a chunk's steering
@@ -98,44 +102,6 @@ def _resolve_params(
     if overrides is not None and los in overrides:
         return overrides[los]
     return load_scenario_params(env, los)
-
-
-class _Variates:
-    """A chunk's pre-drawn variates, passed to the stage functions as ``rng``.
-
-    ``blocks[k]`` stacks the k-th draw of every trial of the chunk on a
-    leading trial axis (``_Link.draw`` makes the draws). The stages ask for
-    their draws in the same order, so each draw call returns the next block;
-    its per-trial shape must be the size the call asks for. The distribution
-    arguments are those ``_Link.draw`` used and are not read. Each block is
-    taken out of ``blocks`` when it is handed out, so it is freed once its
-    stage is done with it.
-    """
-
-    def __init__(self, blocks: list):
-        blocks.reverse()
-        self._blocks = blocks
-
-    def _next(self, size) -> np.ndarray:
-        block = self._blocks.pop()
-        if block.shape[1:] != (size if isinstance(size, tuple) else (size,)):
-            raise RuntimeError(f"draw of shape {size} replayed from a block of {block.shape}")
-        return block
-
-    def standard_normal(self, size):
-        return self._next(size)
-
-    def uniform(self, *, size):
-        return self._next(size)
-
-    def normal(self, loc, scale, *, size):
-        return self._next(size)
-
-    def integers(self, low, high, *, size):
-        return self._next(size)
-
-    def permuted(self, x, *, axis):
-        return self._next(np.shape(x))
 
 
 def _assemble_panel_channel(
@@ -237,14 +203,16 @@ class _Link:
     wavelength_m: float = 0.0
 
     def draw(self, rng: np.random.Generator) -> tuple[bool, list]:
-        """One trial's LOS state and the draws of its stages, in call order.
+        """One trial's LOS state and the variates of its stages, in draw order.
 
-        The draws are those the stage functions make with a generator: LSPs,
-        delays, cluster powers, for a panel link the sign and jitter of the
-        azimuth then zenith cluster centres and the ray offset order, and
-        the ray phases. ``random`` and ``standard_normal`` stand in for
-        ``uniform(0, 1)`` and ``normal(0, 1)``: they return the same values
-        at less cost.
+        This is the stream contract: the LOS state, then the LSP normals,
+        delay uniforms and cluster shadowing normals, for a panel link the
+        sign bits and jitter normals of the azimuth then zenith cluster
+        centres and the ray offset order (one row-wise shuffle, which draws
+        as a permutation per row would), and the ray phase uniforms.
+        ``random`` and ``standard_normal`` give the same values as the
+        ``uniform(0, 1)`` and ``normal(0, 1)`` of the one-trial stage
+        functions, at less cost.
         """
         los = self.forced_los or bool(rng.random() < self.los_probability)
         params = self.params[los]
@@ -257,40 +225,43 @@ class _Link:
         draws.append(rng.random((c, s)))
         return los, draws
 
-    def map_draws(self, los: bool, rng) -> tuple:
+    def map_draws(self, los: bool, blocks: list) -> tuple:
         """(channel, path loss dB, LSPs, cluster set) of trials in one LOS state.
 
-        With a chunk's ``_Variates`` every result carries the trial axis; the
-        channel is (T, N) for a panel link and (T,) for the direct link,
-        whose cluster set is None.
+        ``blocks[k]`` stacks the k-th draw of ``draw`` of every trial on a
+        leading trial axis, which every result carries: the channel is (T, N)
+        for a panel link and (T,) for the direct link, whose cluster set is
+        None. Empties ``blocks``, so each block is freed once it is mapped.
         """
         params = self.params[los]
-        c, s = params.cluster_count, params.rays_per_cluster
-        lsps = draw_lsps(params, los, rng)
+        s = params.rays_per_cluster
+        lsp, delay, shadow, *angles, phase = blocks
+        blocks.clear()
+        lsps = lsps_from_normals(params, lsp)
         pl_db = path_loss_db(
             self.env, los, self.d3d, self.f_c_ghz, h_ut=self.h_ut, sf_db=lsps.sf_db
         )
-        delays = draw_delays(c, params.delay_scaling, lsps.ds_s, rng)
-        powers = cluster_powers(
+        delays = delays_from_uniforms(params.delay_scaling, lsps.ds_s, delay)
+        powers = powers_from_normals(
             delays,
             params.delay_scaling,
             lsps.ds_s,
             params.per_cluster_shadowing_db,
             lsps.k_factor_db,
             los,
-            rng,
+            shadow,
         )
+        phases = phases_from_uniforms(phase)
         pl_linear = 10.0 ** (pl_db / 10.0)
         if self.panel is None:
             # No angles or element pattern: each ray adds its amplitude and phase.
-            phases = draw_phases(c, s, rng)
             rays = np.sqrt(powers[..., None] / s) * np.exp(1j * phases)
             value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
             return value, pl_db, lsps, None
-        zenith, azimuth = draw_ray_angles(
-            self.env, powers, lsps, self.los_direction, los, params, rng
+        zenith, azimuth = ray_angles_from(
+            self.env, powers, lsps, self.los_direction, los, params, *angles
         )
-        phases = draw_phases(c, s, rng)
+        del angles, phase
         clusters = filter_front_hemisphere(
             build_cluster_set(delays, powers, zenith, azimuth, phases)
         )
@@ -406,7 +377,7 @@ class _LinkChunk:
         values = np.empty(shape, dtype=complex)
         groups = []
         for state, trials, blocks in stacked:
-            value, *rest = link.map_draws(state, _Variates(blocks))
+            value, *rest = link.map_draws(state, blocks)
             values[trials] = value
             groups.append((trials, *rest))
         return cls(link, los, values, tuple(groups))

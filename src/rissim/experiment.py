@@ -201,48 +201,56 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
-        def sequence(key, value):
+        def convert(key, kind, *args):
+            try:
+                return kind(*args)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+
+        def sequence(key, value, kind=float):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {value!r}")
-            return value
+            return tuple(convert(key, kind, v) for v in value)
 
         def point(key):
             value = sequence(key, raw[key])
             if len(value) != 3:
-                raise ValueError(f"{key} must be a list of three coordinates, got {value!r}")
-            return Point3(*(float(v) for v in value))
+                raise ValueError(f"{key} must be a list of three coordinates, got {raw[key]!r}")
+            return convert(key, Point3, *value)
 
         def axis(key):
             value = raw.get(key)
-            if value is None:
-                return None
-            return tuple(float(v) for v in sequence(key, value)) or None
+            return None if value is None else sequence(key, value) or None
+
+        def optional(key):
+            value = raw.get(key)
+            return None if value is None else convert(key, float, value)
 
         override = raw.get("regime_override")
         return cls(
             name=str(raw["name"]),
-            environment=Environment(raw["environment"]),
-            f_c_ghz=float(raw["f_c_ghz"]),
+            environment=convert("environment", Environment, raw["environment"]),
+            f_c_ghz=convert("f_c_ghz", float, raw["f_c_ghz"]),
             tx=point("tx"),
             rx=point("rx"),
             ris_center=point("ris_center"),
-            n_elements=tuple(int(n) for n in sequence("n_elements", raw["n_elements"])),
+            n_elements=sequence("n_elements", raw["n_elements"], int),
             ris_x_sweep=axis("ris_x_sweep"),
             ris_y_sweep=axis("ris_y_sweep"),
             ris_z_sweep=axis("ris_z_sweep"),
-            spacing_m=float(raw["spacing_m"]) if raw.get("spacing_m") is not None else None,
+            spacing_m=optional("spacing_m"),
             boresight=raw.get("boresight", "+y"),
-            p_t_dbm=float(raw.get("p_t_dbm", 20.0)),
-            n_0_dbm=float(raw.get("n_0_dbm", -130.0)),
-            trials=int(raw.get("trials", 2000)),
-            master_seed=int(raw.get("master_seed", 2024)),
-            regime_override=FieldRegime(override) if override else None,
-            no_ris_baseline_extra_db=(
-                float(raw["no_ris_baseline_extra_db"])
-                if raw.get("no_ris_baseline_extra_db") is not None
-                else None
+            p_t_dbm=convert("p_t_dbm", float, raw.get("p_t_dbm", 20.0)),
+            n_0_dbm=convert("n_0_dbm", float, raw.get("n_0_dbm", -130.0)),
+            trials=convert("trials", int, raw.get("trials", 2000)),
+            master_seed=convert("master_seed", int, raw.get("master_seed", 2024)),
+            regime_override=(
+                convert("regime_override", FieldRegime, override) if override else None
             ),
-            element_pattern_q=float(raw.get("element_pattern_q", 0.285)),
+            no_ris_baseline_extra_db=optional("no_ris_baseline_extra_db"),
+            element_pattern_q=convert(
+                "element_pattern_q", float, raw.get("element_pattern_q", 0.285)
+            ),
             steering_convention=raw.get("steering_convention", "reference"),
         )
 

@@ -33,9 +33,6 @@ class Point3:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"Point3 components must be finite, got {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class SphericalAngles:
@@ -110,10 +107,7 @@ class PanelGeometry:
         cls, center: Point3, n_elements: int, spacing: float, boresight: str = "+y"
     ) -> "PanelGeometry":
         """Build a panel whose element grid is centered on ``center``."""
-        side = math.isqrt(n_elements)
-        if side * side != n_elements:
-            raise ValueError(f"n_elements must be a perfect square, got {n_elements}")
-        half_span = (side - 1) * spacing / 2.0
+        half_span = (math.isqrt(n_elements) - 1) * spacing / 2.0
         first = Point3(center.x - half_span, center.y, center.z - half_span)
         return cls(n_elements, spacing, first, boresight)
 
@@ -146,11 +140,6 @@ class PanelGeometry:
         out[:, 1] = self.first_element.y
         out[:, 2] = self.first_element.z + self.spacing * rows
         return out
-
-    def element_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element (x, z) offsets from the first element, shape (N,) each."""
-        grid = self.element_grid()
-        return grid[:, 0] - self.first_element.x, grid[:, 2] - self.first_element.z
 
 
 def distance_3d(a: Point3, b: Point3) -> float:

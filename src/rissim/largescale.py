@@ -284,21 +284,19 @@ def path_loss_db(
     return pl + sf_db
 
 
-def draw_lsps(
-    params: ScenarioParams, los: bool, rng: np.random.Generator
-) -> LargeScaleParams:
-    """Draw one correlated large-scale parameter set.
+def lsps_from_normals(params: ScenarioParams, normals: np.ndarray) -> LargeScaleParams:
+    """Correlated large-scale parameters from a standard-normal 7-vector.
 
-    A standard-normal 7-vector is correlated through a square-root factor of
-    the configured cross-correlation matrix and mapped per parameter:
-    log-normal for DS and the angular spreads, normal-in-dB for SF and K.
-    Azimuth spreads are capped at 104 degrees, zenith spreads at 52.
+    The vector is correlated through a square-root factor of the configured
+    cross-correlation matrix and mapped per parameter: log-normal for DS and
+    the angular spreads, normal-in-dB for SF and K. Azimuth spreads are
+    capped at 104 degrees, zenith spreads at 52.
 
-    ``rng`` may also be a chunk's pre-drawn variates; the block of a chunk of
-    trials carries a leading trial axis, and so does every field of the result.
+    ``normals`` of a chunk of trials, (T, 7), gives every field of the result
+    a leading trial axis.
     """
     factor = params.correlation_factor()
-    latent = (factor @ rng.standard_normal(7)[..., None])[..., 0]
+    latent = (factor @ normals[..., None])[..., 0]
     means = np.array([params.lsp_means[name] for name in LSP_ORDER])
     stds = np.array([params.lsp_stds[name] for name in LSP_ORDER])
     values = means + stds * latent
@@ -315,3 +313,10 @@ def draw_lsps(
         zsa_deg=angles[..., 3],
         latent=latent,
     )
+
+
+def draw_lsps(
+    params: ScenarioParams, los: bool, rng: np.random.Generator
+) -> LargeScaleParams:
+    """Draw one correlated large-scale parameter set (``lsps_from_normals``)."""
+    return lsps_from_normals(params, rng.standard_normal(7))

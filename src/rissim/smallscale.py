@@ -7,9 +7,9 @@ cluster angles (wrapped Gaussian azimuth outdoors, Laplacian indoors and for
 all zeniths) re-centered on the LOS direction, and fixed per-ray offsets with
 random coupling.
 
-Every function that draws takes ``rng``: a generator for one trial, or a
-chunk's pre-drawn variates (``channel._Variates``), whose blocks carry a
-leading trial axis. Array arguments and results then carry the same axis.
+Each random stage is a pure mapping of the variates ``channel._Link.draw``
+draws (``*_from_*``); on a chunk of trials its arrays carry a leading trial
+axis. The ``rng``-taking names draw one trial's variates and map them.
 """
 
 from __future__ import annotations
@@ -52,22 +52,54 @@ class ClusterSet:
         return not bool(self.ray_mask.any())
 
 
-def draw_delays(
-    c: int, r_tau: float, ds: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw C cluster delays from an exponential profile, sorted, first = 0."""
-    if c < 1:
+def delays_from_uniforms(r_tau: float, ds: float, u: np.ndarray) -> np.ndarray:
+    """C cluster delays from C uniforms by the exponential profile, sorted, first = 0."""
+    if u.shape[-1] < 1:
         raise ValueError("cluster count must be >= 1")
     if r_tau <= 1.0:
         raise ValueError("delay scaling must exceed 1")
     ds = np.asarray(ds)
     if np.any(ds <= 0.0):
         raise ValueError("delay spread must be positive")
-    u = rng.uniform(size=c)
     u = np.where(u == 0.0, np.finfo(float).tiny, u)
     raw = -r_tau * ds[..., None] * np.log(u)
     raw.sort(axis=-1)
     return raw - raw[..., :1]
+
+
+def draw_delays(
+    c: int, r_tau: float, ds: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw C cluster delays from an exponential profile, sorted, first = 0."""
+    return delays_from_uniforms(r_tau, ds, rng.uniform(size=c))
+
+
+def powers_from_normals(
+    delays_s: np.ndarray,
+    r_tau: float,
+    ds: float,
+    zeta_db: float,
+    k_db: float,
+    los: bool,
+    normals: np.ndarray,
+) -> np.ndarray:
+    """Cluster powers from the exponential power-delay profile.
+
+    Pre-powers exp(-tau*(r_tau-1)/(r_tau*DS)) * 10^(-Z/10) with per-cluster
+    shadowing Z = zeta * ``normals`` are normalized to unit sum. Under LOS
+    each is scaled by 1/(K_R+1) and the specular power K_R/(K_R+1) is added
+    to the first cluster; under NLOS the K-factor is ignored.
+    """
+    delays_s = np.asarray(delays_s, dtype=float)
+    shadowing = normals * zeta_db
+    ds = np.asarray(ds)[..., None]
+    pre = np.exp(-delays_s * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadowing / 10.0)
+    powers = pre / pre.sum(axis=-1, keepdims=True)
+    if los:
+        k_lin = np.asarray(10.0 ** (k_db / 10.0))[..., None]
+        powers = powers / (k_lin + 1.0)
+        powers[..., :1] += k_lin / (k_lin + 1.0)
+    return powers
 
 
 def cluster_powers(
@@ -79,28 +111,19 @@ def cluster_powers(
     los: bool,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Cluster powers from the exponential power-delay profile.
+    """Cluster powers with per-cluster shadowing Z ~ N(0, zeta^2) drawn from ``rng``."""
+    normals = rng.normal(0.0, 1.0, size=np.shape(delays_s)[-1])
+    return powers_from_normals(delays_s, r_tau, ds, zeta_db, k_db, los, normals)
 
-    Pre-powers exp(-tau*(r_tau-1)/(r_tau*DS)) * 10^(-Z/10) with per-cluster
-    shadowing Z ~ N(0, zeta^2) are normalized to unit sum. Under LOS each is
-    scaled by 1/(K_R+1) and the specular power K_R/(K_R+1) is added to the
-    first cluster; under NLOS the K-factor is ignored.
-    """
-    delays_s = np.asarray(delays_s, dtype=float)
-    shadowing = rng.normal(0.0, 1.0, size=delays_s.shape[-1]) * zeta_db
-    ds = np.asarray(ds)[..., None]
-    pre = np.exp(-delays_s * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadowing / 10.0)
-    powers = pre / pre.sum(axis=-1, keepdims=True)
-    if los:
-        k_lin = np.asarray(10.0 ** (k_db / 10.0))[..., None]
-        powers = powers / (k_lin + 1.0)
-        powers[..., :1] += k_lin / (k_lin + 1.0)
-    return powers
+
+def phases_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """Initial ray phases on (-pi, pi] from uniforms on [0, 1)."""
+    return np.pi - u * 2.0 * np.pi
 
 
 def draw_phases(c: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. initial ray phases, uniform on (-pi, pi], shape (C, S)."""
-    return np.pi - rng.uniform(size=(c, s)) * 2.0 * np.pi
+    return phases_from_uniforms(rng.uniform(size=(c, s)))
 
 
 def _los_scaling(coeffs, k_db: float) -> float:
@@ -115,9 +138,10 @@ def _cluster_centers(
     los_center_deg: float,
     los: bool,
     gaussian_mapping: bool,
-    rng: np.random.Generator,
+    sign_bits: np.ndarray,
+    normals: np.ndarray,
 ) -> np.ndarray:
-    """Cluster center angles via the inverse power mapping plus jitter.
+    """Cluster center angles via the inverse power mapping, signs and jitter.
 
     Under LOS the first cluster is re-centered exactly onto the LOS angle.
     """
@@ -128,8 +152,8 @@ def _cluster_centers(
         prime = 2.0 * (spread_deg / 1.4) * np.sqrt(-np.log(ratio)) / c_scale
     else:
         prime = -spread_deg * np.log(ratio) / c_scale
-    signs = rng.integers(0, 2, size=powers.shape[-1]) * 2.0 - 1.0
-    jitter = rng.normal(0.0, 1.0, size=powers.shape[-1]) * (spread_deg / 7.0)
+    signs = sign_bits * 2.0 - 1.0
+    jitter = normals * (spread_deg / 7.0)
     centers = signs * prime + jitter + los_center_deg
     if los:
         centers = centers - (signs[..., :1] * prime[..., :1] + jitter[..., :1])
@@ -138,31 +162,34 @@ def _cluster_centers(
 
 @functools.cache
 def _offset_rows(c: int, s: int) -> np.ndarray:
-    """2C rows of 0..S-1: ``draw_ray_angles`` permutes each row."""
+    """2C rows of 0..S-1: each row is permuted into one ray-offset order."""
     return np.broadcast_to(np.arange(s), (2 * c, s))
 
 
-def draw_ray_angles(
+def ray_angles_from(
     env: Environment,
     powers: np.ndarray,
     lsps: LargeScaleParams,
     los_dir: SphericalAngles,
     los: bool,
     scenario: ScenarioParams,
-    rng: np.random.Generator,
+    az_sign_bits: np.ndarray,
+    az_normals: np.ndarray,
+    zen_sign_bits: np.ndarray,
+    zen_normals: np.ndarray,
+    order: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray zenith and azimuth angles in degrees, shape (C, S) each.
 
     Cluster centers come from the inverse mapping of normalized cluster
     powers (wrapped Gaussian azimuth for UMi, Laplacian azimuth for InH,
-    Laplacian zenith everywhere), with random sign, Gaussian jitter and LOS
-    re-centering. Ray angles add the fixed offset table scaled by the
-    cluster-wise spread, with independently permuted offset order per cluster
-    and dimension. Azimuth is wrapped into (-180, 180], zenith reflected into
-    [0, 180].
+    Laplacian zenith everywhere), with a sign per sign bit, Gaussian jitter
+    and LOS re-centering. Ray angles add the fixed offset table scaled by the
+    cluster-wise spread; rows 2i and 2i+1 of ``order`` permute cluster i's
+    azimuth and zenith offsets. Azimuth is wrapped into (-180, 180], zenith
+    reflected into [0, 180].
     """
     powers = np.asarray(powers, dtype=float)
-    c = powers.shape[-1]
     s = scenario.rays_per_cluster
     if s != len(scenario.ray_offsets):
         raise ValueError(
@@ -183,7 +210,8 @@ def draw_ray_angles(
         los_dir.azimuth_deg,
         los,
         gaussian_mapping=(env is Environment.UMI),
-        rng=rng,
+        sign_bits=az_sign_bits,
+        normals=az_normals,
     )
     zen_centers = _cluster_centers(
         powers,
@@ -192,12 +220,10 @@ def draw_ray_angles(
         los_dir.zenith_deg,
         los,
         gaussian_mapping=False,
-        rng=rng,
+        sign_bits=zen_sign_bits,
+        normals=zen_normals,
     )
 
-    # Rows 2i and 2i+1 permute cluster i's azimuth and zenith offsets; one
-    # row-wise shuffle draws them in the order of per-row permutation calls.
-    order = rng.permuted(_offset_rows(c, s), axis=1)
     offsets = scenario.ray_offsets[order]
 
     azimuth = az_centers[..., None] + scenario.c_asa_deg * offsets[..., 0::2, :]
@@ -208,6 +234,23 @@ def draw_ray_angles(
     zenith = np.mod(zenith, 360.0)
     zenith = np.where(zenith > 180.0, 360.0 - zenith, zenith)
     return zenith, azimuth
+
+
+def draw_ray_angles(
+    env: Environment,
+    powers: np.ndarray,
+    lsps: LargeScaleParams,
+    los_dir: SphericalAngles,
+    los: bool,
+    scenario: ScenarioParams,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ray angles (``ray_angles_from``) of one trial's draws from ``rng``."""
+    c = np.shape(powers)[-1]
+    azimuth = rng.integers(0, 2, size=c), rng.normal(0.0, 1.0, size=c)
+    zenith = rng.integers(0, 2, size=c), rng.normal(0.0, 1.0, size=c)
+    order = rng.permuted(_offset_rows(c, scenario.rays_per_cluster), axis=1)
+    return ray_angles_from(env, powers, lsps, los_dir, los, scenario, *azimuth, *zenith, order)
 
 
 def build_cluster_set(

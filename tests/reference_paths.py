@@ -14,6 +14,8 @@ against it:
   and zeroes the coefficients of dropped rays.
 * ``draw_ray_angles`` permutes the ray-offset table with one
   ``rng.permutation`` call per cluster and dimension, azimuth before zenith.
+* ``steering_vector`` is the panel's array response toward one direction,
+  from each element's offset: the one-ray reference of the assembly.
 * ``trial_snr`` is the closed-form SNR of one trial of a sweep point.
 
 The stage functions have the signatures of the package functions they
@@ -191,6 +193,21 @@ def assemble_panel_channel(panel, cluster_set, pl_linear, pattern, wavelength_m,
     row_factors = np.exp(1j * kd * np.outer(b, idx))
     grid = (row_factors * coeffs[:, None]).T @ col_factors
     return grid.reshape(-1)
+
+
+def steering_vector(panel, angles, wavelength_m, convention="reference"):
+    """Array response of the panel toward one direction, shape (N,) complex.
+
+    All entries have unit modulus and the first entry is exactly 1.
+    """
+    if wavelength_m <= 0:
+        raise ValueError("wavelength must be positive")
+    a, b = steering_phase_factors(angles.zenith_deg, angles.azimuth_deg, convention)
+    grid = panel.element_grid()
+    x_off = grid[:, 0] - panel.first_element.x
+    z_off = grid[:, 2] - panel.first_element.z
+    k = 2.0 * np.pi / wavelength_m
+    return np.exp(1j * k * (x_off * a + z_off * b))
 
 
 def _params(env, los, overrides):

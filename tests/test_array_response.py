@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rissim.array_response import (
-    ElementPattern,
-    element_gain,
-    steering_phase_factors,
-    steering_vector,
-)
+from reference_paths import steering_vector
+from rissim.array_response import ElementPattern, element_gain, steering_phase_factors
 from rissim.geometry import PanelGeometry, Point3, SphericalAngles
 
 

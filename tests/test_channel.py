@@ -6,12 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import make_scenario
-from rissim.array_response import (
-    STEERING_CONVENTIONS,
-    ElementPattern,
-    element_gain,
-    steering_vector,
-)
+from reference_paths import steering_vector
+from rissim.array_response import STEERING_CONVENTIONS, ElementPattern, element_gain
 from rissim.channel import (
     FieldRegime,
     _assemble_panel_channel,

@@ -102,7 +102,15 @@ class TestRunCommand:
         assert "trails" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("f_c_ghz", 0), ("boresight", "+x"), ("n_elements", 64)]
+        "key, value",
+        [
+            ("f_c_ghz", 0),
+            ("boresight", "+x"),
+            ("n_elements", 64),
+            ("f_c_ghz", [2.4]),
+            ("trials", [5]),
+            ("tx", [0, 25, "a"]),
+        ],
     )
     def test_bad_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
         raw = tiny_config_dict()

@@ -110,7 +110,20 @@ class TestConfig:
         assert small_config(n_elements=(0, 1, 64)).n_elements == (0, 1, 64)
 
     @pytest.mark.parametrize(
-        "key, value", [("n_elements", 64), ("ris_z_sweep", 5), ("tx", 5), ("tx", [1.0, 2.0])]
+        "key, value",
+        [
+            ("n_elements", 64),
+            ("ris_z_sweep", 5),
+            ("tx", 5),
+            ("tx", [1.0, 2.0]),
+            ("f_c_ghz", [2.4]),
+            ("trials", [5]),
+            ("tx", [0, 25, "a"]),
+            ("rx", [0.0, math.inf, 1.5]),
+            ("n_elements", [64, "x"]),
+            ("p_t_dbm", None),
+            ("environment", "Mars"),
+        ],
     )
     def test_from_dict_rejects_a_scalar_for_a_list(self, key, value):
         raw = small_config().to_dict()

@@ -50,6 +50,8 @@ class TestPanelGeometry:
     def test_requires_perfect_square(self):
         with pytest.raises(ValueError):
             PanelGeometry(5, 0.05, Point3(0, 0, 0))
+        with pytest.raises(ValueError, match="perfect square"):
+            PanelGeometry.centered(Point3(0, 0, 0), 5, 0.05)
 
     def test_requires_positive_spacing(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ScriptedRng
 from rissim.largescale import (
     LSP_ORDER,
     Environment,
+    LargeScaleParams,
     LinkState,
     assign_link_state,
     draw_lsps,
     load_scenario_params,
     los_probability,
+    lsps_from_normals,
     nearest_psd_correlation,
     path_loss_db,
     scenario_params_from_dict,
@@ -249,3 +255,28 @@ class TestDrawLsps:
         sf = np.array([d.sf_db for d in draws])
         k = np.array([d.k_factor_db for d in draws])
         assert np.corrcoef(sf, k)[0, 1] == pytest.approx(target, abs=0.02)
+
+
+class TestLspsTrialAxis:
+    """``lsps_from_normals`` on a chunk: (T, 7) normals give (T,) fields."""
+
+    @given(
+        env=st.sampled_from(Environment),
+        los=st.booleans(),
+        normals=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(7)),
+            elements=st.floats(-4.0, 4.0),
+        ),
+    )
+    def test_batch_equals_its_rows(self, env, los, normals):
+        params = load_scenario_params(env, los)
+        lsps = lsps_from_normals(params, normals)
+        assert lsps.latent.shape == normals.shape
+        for t, row in enumerate(normals):
+            one = draw_lsps(params, los, ScriptedRng(normals=row))
+            for f in fields(LargeScaleParams):
+                # A stacked and a single matrix product may round differently.
+                np.testing.assert_allclose(
+                    getattr(lsps, f.name)[t], getattr(one, f.name), rtol=1e-13, atol=1e-15
+                )

@@ -6,16 +6,18 @@ from scipy import stats
 
 import reference_paths
 from conftest import ScriptedRng, make_scenario
-from rissim.channel import _Variates
 from rissim.geometry import SphericalAngles
 from rissim.largescale import Environment, LargeScaleParams, load_scenario_params
 from rissim.smallscale import (
     build_cluster_set,
     cluster_powers,
+    delays_from_uniforms,
     draw_delays,
     draw_phases,
     draw_ray_angles,
     filter_front_hemisphere,
+    powers_from_normals,
+    ray_angles_from,
 )
 
 
@@ -284,8 +286,29 @@ class TestFilterFrontHemisphere:
         assert not cs.fully_shadowed
 
 
+class TestDelaysTrialAxis:
+    """``delays_from_uniforms`` on a chunk: (T, C) uniforms, (T,) spreads."""
+
+    @given(
+        data=st.data(),
+        trials=st.integers(1, 6),
+        c=st.integers(1, 20),
+        r_tau=st.floats(1.5, 4.0),
+    )
+    def test_batch_equals_its_rows(self, data, trials, c, r_tau):
+        ds = data.draw(arrays(np.float64, trials, elements=st.floats(1e-8, 1e-6)))
+        u = data.draw(
+            arrays(np.float64, (trials, c), elements=st.floats(0.0, 1.0, exclude_max=True))
+        )
+        delays = delays_from_uniforms(r_tau, ds, u)
+        assert delays.shape == (trials, c)
+        for t in range(trials):
+            one = draw_delays(c, r_tau, ds[t], ScriptedRng(uniforms=u[t]))
+            np.testing.assert_array_equal(delays[t], one)
+
+
 class TestClusterPowersTrialAxis:
-    """``cluster_powers`` on a chunk: (T, C) delays, (T,) spreads and K-factors."""
+    """``powers_from_normals`` on a chunk: (T, C) delays, (T,) spreads and K-factors."""
 
     @given(
         data=st.data(),
@@ -301,9 +324,7 @@ class TestClusterPowersTrialAxis:
         steps = data.draw(arrays(np.float64, (trials, c), elements=st.floats(0.0, 1e-7)))
         delays = np.cumsum(steps, axis=1) - steps[:, :1]
         normals = data.draw(arrays(np.float64, (trials, c), elements=st.floats(-3.0, 3.0)))
-        powers = cluster_powers(
-            delays, r_tau, ds, zeta_db, k_db, los, _Variates([normals])
-        )
+        powers = powers_from_normals(delays, r_tau, ds, zeta_db, k_db, los, normals)
         assert powers.shape == (trials, c)
         np.testing.assert_allclose(powers.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(powers >= 0.0)
@@ -316,3 +337,46 @@ class TestClusterPowersTrialAxis:
             )
             # Scalar and array powers of ten may differ in the last bit.
             np.testing.assert_allclose(powers[t], one, rtol=1e-14, atol=0.0)
+
+
+class TestRayAnglesTrialAxis:
+    """``ray_angles_from`` on a chunk: (T, C) powers and centre draws, (T,) spreads."""
+
+    @given(
+        data=st.data(),
+        trials=st.integers(1, 6),
+        env=st.sampled_from(Environment),
+        los=st.booleans(),
+    )
+    def test_batch_equals_its_rows(self, data, trials, env, los):
+        scenario = load_scenario_params(env, los)
+        c, s = scenario.cluster_count, scenario.rays_per_cluster
+        spread = st.floats(1.0, 100.0)
+        lsps = make_lsps(
+            asa=data.draw(arrays(np.float64, trials, elements=spread)),
+            zsa=data.draw(arrays(np.float64, trials, elements=spread)),
+            k_db=data.draw(arrays(np.float64, trials, elements=st.floats(-10.0, 20.0))),
+        )
+        powers = data.draw(arrays(np.float64, (trials, c), elements=st.floats(1e-6, 1.0)))
+        bits = arrays(np.int64, (trials, c), elements=st.integers(0, 1))
+        normals = arrays(np.float64, (trials, c), elements=st.floats(-3.0, 3.0))
+        centers = [data.draw(bits), data.draw(normals), data.draw(bits), data.draw(normals)]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = np.broadcast_to(np.arange(s), (trials, 2 * c, s))
+        order = np.random.default_rng(seed).permuted(rows, axis=2)
+        los_dir = SphericalAngles(80.0, 70.0)
+        zenith, azimuth = ray_angles_from(
+            env, powers, lsps, los_dir, los, scenario, *centers, order
+        )
+        assert zenith.shape == azimuth.shape == (trials, c, s)
+        for t in range(trials):
+            row = make_lsps(asa=lsps.asa_deg[t], zsa=lsps.zsa_deg[t], k_db=lsps.k_factor_db[t])
+            one = ray_angles_from(
+                env, powers[t], row, los_dir, los, scenario,
+                *(draw[t] for draw in centers), order[t],
+            )
+            # The LOS scaling's scalar and array powers of the K-factor may
+            # differ in the last bit; azimuths are compared modulo 360.
+            np.testing.assert_allclose(zenith[t], one[0], rtol=0.0, atol=1e-9)
+            wrapped = np.mod(azimuth[t] - one[1] + 180.0, 360.0) - 180.0
+            np.testing.assert_allclose(wrapped, 0.0, rtol=0.0, atol=1e-9)
