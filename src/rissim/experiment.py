@@ -8,15 +8,18 @@ regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import functools
+import io
 import json
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 from itertools import repeat
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -101,10 +104,10 @@ class ExperimentConfig:
     tx: Point3
     rx: Point3
     ris_center: Point3
-    n_elements: tuple = (256,)
-    ris_x_sweep: Optional[tuple] = None
-    ris_y_sweep: Optional[tuple] = None
-    ris_z_sweep: Optional[tuple] = None
+    n_elements: tuple[int, ...] = (256,)
+    ris_x_sweep: Optional[tuple[float, ...]] = None
+    ris_y_sweep: Optional[tuple[float, ...]] = None
+    ris_z_sweep: Optional[tuple[float, ...]] = None
     spacing_m: Optional[float] = None
     boresight: str = "+y"
     p_t_dbm: float = 20.0
@@ -117,6 +120,11 @@ class ExperimentConfig:
     steering_convention: str = "reference"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.n_elements) == 0:
@@ -124,7 +132,6 @@ class ExperimentConfig:
         for axis in (self.ris_x_sweep, self.ris_y_sweep, self.ris_z_sweep):
             if axis is not None and len(axis) == 0:
                 raise ValueError("sweep axes must be non-empty when given")
-        # ``not value > 0`` also rejects NaN.
         for key in ("f_c_ghz", "element_pattern_q", "spacing_m"):
             value = getattr(self, key)
             if value is not None and not value > 0:
@@ -172,87 +179,62 @@ class ExperimentConfig:
         return points
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "environment": self.environment.value,
-            "f_c_ghz": self.f_c_ghz,
-            "tx": [self.tx.x, self.tx.y, self.tx.z],
-            "rx": [self.rx.x, self.rx.y, self.rx.z],
-            "ris_center": [self.ris_center.x, self.ris_center.y, self.ris_center.z],
-            "n_elements": list(self.n_elements),
-            "ris_x_sweep": list(self.ris_x_sweep) if self.ris_x_sweep else None,
-            "ris_y_sweep": list(self.ris_y_sweep) if self.ris_y_sweep else None,
-            "ris_z_sweep": list(self.ris_z_sweep) if self.ris_z_sweep else None,
-            "spacing_m": self.spacing_m,
-            "boresight": self.boresight,
-            "p_t_dbm": self.p_t_dbm,
-            "n_0_dbm": self.n_0_dbm,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "regime_override": self.regime_override.value if self.regime_override else None,
-            "no_ris_baseline_extra_db": self.no_ris_baseline_extra_db,
-            "element_pattern_q": self.element_pattern_q,
-            "steering_convention": self.steering_convention,
-        }
+        """The config as JSON data: points and tuples as lists, enums as their values."""
+
+        def plain(value):
+            if isinstance(value, Point3):
+                return [value.x, value.y, value.z]
+            if isinstance(value, Enum):
+                return value.value
+            return list(value) if isinstance(value, tuple) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse JSON data by the field types; absent keys take the field defaults."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config is a JSON object, got {type(raw).__name__}")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        hints = get_type_hints(cls)
+        return cls(**{key: _convert(key, hints[key], value) for key, value in raw.items()})
 
-        def convert(key, kind, *args):
-            try:
-                return kind(*args)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from None
 
-        def sequence(key, value, kind=float):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{key} must be a list, got {value!r}")
-            return tuple(convert(key, kind, v) for v in value)
+def _whole(value) -> int:
+    """``int(value)`` that drops no fraction: 2000.0 is 2000, 2.9 is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
-        def point(key):
-            value = sequence(key, raw[key])
-            if len(value) != 3:
-                raise ValueError(f"{key} must be a list of three coordinates, got {raw[key]!r}")
-            return convert(key, Point3, *value)
 
-        def axis(key):
-            value = raw.get(key)
-            return None if value is None else sequence(key, value) or None
+def _convert(key: str, kind, value):
+    """``value`` as the field type ``kind``; every error names ``key``.
 
-        def optional(key):
-            value = raw.get(key)
-            return None if value is None else convert(key, float, value)
-
-        override = raw.get("regime_override")
-        return cls(
-            name=str(raw["name"]),
-            environment=convert("environment", Environment, raw["environment"]),
-            f_c_ghz=convert("f_c_ghz", float, raw["f_c_ghz"]),
-            tx=point("tx"),
-            rx=point("rx"),
-            ris_center=point("ris_center"),
-            n_elements=sequence("n_elements", raw["n_elements"], int),
-            ris_x_sweep=axis("ris_x_sweep"),
-            ris_y_sweep=axis("ris_y_sweep"),
-            ris_z_sweep=axis("ris_z_sweep"),
-            spacing_m=optional("spacing_m"),
-            boresight=raw.get("boresight", "+y"),
-            p_t_dbm=convert("p_t_dbm", float, raw.get("p_t_dbm", 20.0)),
-            n_0_dbm=convert("n_0_dbm", float, raw.get("n_0_dbm", -130.0)),
-            trials=convert("trials", int, raw.get("trials", 2000)),
-            master_seed=convert("master_seed", int, raw.get("master_seed", 2024)),
-            regime_override=(
-                convert("regime_override", FieldRegime, override) if override else None
-            ),
-            no_ris_baseline_extra_db=optional("no_ris_baseline_extra_db"),
-            element_pattern_q=convert(
-                "element_pattern_q", float, raw.get("element_pattern_q", 0.285)
-            ),
-            steering_convention=raw.get("steering_convention", "reference"),
-        )
+    ``Optional[X]`` takes null, and an empty sweep list, as None; a tuple or a
+    ``Point3`` needs a list; enums and scalars are built from the value.
+    """
+    origin = get_origin(kind)
+    if origin is Union:
+        value = None if value is None else _convert(key, get_args(kind)[0], value)
+        return None if value == () else value
+    args = (value,)
+    if origin is tuple or kind is Point3:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        if origin is tuple:
+            return tuple(_convert(key, get_args(kind)[0], v) for v in value)
+        if len(value) != 3:
+            raise ValueError(f"{key} must be a list of three coordinates, got {value!r}")
+        args = [_convert(key, float, v) for v in value]
+    try:
+        return (_whole if kind is int else kind)(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -278,9 +260,11 @@ class RateStats:
         def fmt(value) -> str:
             return format(value, ".9g") if isinstance(value, float) else str(value)
 
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(fmt(v) for v in values) for values, _ in self._records()]
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([fmt(v) for v in values] for values, _ in self._records())
+        return out.getvalue()
 
     def to_json_text(self) -> str:
         def encode(value):
@@ -348,26 +332,16 @@ def _seed_pool(master_seed: int) -> tuple:
     """(pool, hash constant) of ``SeedSequence(master_seed, spawn_key=...)``
     after the seed's own words, before the spawn key's.
 
-    With a spawn key the seed's words are padded with zeros to the pool size.
+    The pool is that of ``SeedSequence(master_seed)``, which hashes missing
+    seed words as zeros just as a spawn key's zero padding does. The hash
+    constant has advanced once per pool word for each of the (at least four)
+    seed words.
     """
-    entropy = _words32(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
+    from numpy.random import SeedSequence
 
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = value ^ value >> 16
-    return _mix_in(tuple(pool), hash_const, entropy[_POOL_SIZE:])
+    n_words = max(_POOL_SIZE, len(_words32(master_seed)))
+    pool = tuple(int(word) for word in SeedSequence(master_seed).pool)
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
 
 
 def _state_words(pool: tuple) -> list:
@@ -700,7 +674,6 @@ def figure_presets() -> dict:
     sweeps run at 5.8 GHz with N = 1024 in forced far-field (fig5a) and
     forced near-field (fig5b) regimes.
     """
-    common = dict(p_t_dbm=20.0, n_0_dbm=-130.0, trials=2000, master_seed=2024)
     presets = {
         "fig3a": ExperimentConfig(
             name="fig3a",
@@ -713,7 +686,6 @@ def figure_presets() -> dict:
             n_elements=(64, 256, 1024),
             boresight="-y",
             regime_override=FieldRegime.NEAR_FIELD,
-            **common,
         ),
         "fig3b": ExperimentConfig(
             name="fig3b",
@@ -726,7 +698,6 @@ def figure_presets() -> dict:
             n_elements=(64, 256, 1024),
             boresight="-y",
             regime_override=FieldRegime.NEAR_FIELD,
-            **common,
         ),
         "fig4": ExperimentConfig(
             name="fig4",
@@ -738,7 +709,6 @@ def figure_presets() -> dict:
             n_elements=(16, 64, 256, 1024, 4096),
             boresight="-y",
             no_ris_baseline_extra_db=10.0,
-            **common,
         ),
         "fig5a": ExperimentConfig(
             name="fig5a",
@@ -752,7 +722,6 @@ def figure_presets() -> dict:
             n_elements=(1024,),
             boresight="-y",
             regime_override=FieldRegime.FAR_FIELD,
-            **common,
         ),
         "fig5b": ExperimentConfig(
             name="fig5b",
@@ -766,7 +735,6 @@ def figure_presets() -> dict:
             n_elements=(1024,),
             boresight="-y",
             regime_override=FieldRegime.NEAR_FIELD,
-            **common,
         ),
     }
     return presets

@@ -120,6 +120,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p_t_dbm", float("nan")), ("rx", [40, 48, float("inf")]), ("trials", 2.9),
+         ("n_elements", [16.7])],
+    )
+    def test_non_finite_or_fractional_value_exits_one(self, tmp_path, capsys, key, value):
+        raw = tiny_config_dict()
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config_dict()))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +64,43 @@ class TestConfig:
         config = figure_presets()["fig4"]
         rebuilt = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *figure_presets().values(),
+            small_config(
+                n_elements=(0, 16, 64),
+                ris_x_sweep=(36.0, 38.5),
+                ris_y_sweep=(50.0,),
+                ris_z_sweep=(2.0, 3.0),
+                spacing_m=0.07,
+                regime_override=FieldRegime.FAR_FIELD,
+                no_ris_baseline_extra_db=0.0,
+                steering_convention="textbook",
+            ),
+        ],
+        ids=lambda config: config.name,
+    )
+    def test_every_field_round_trips_through_json(self, config):
+        raw = json.loads(json.dumps(config.to_dict()))
+        assert set(raw) == {f.name for f in fields(ExperimentConfig)}
+        assert ExperimentConfig.from_dict(raw) == config
+
+    def test_from_dict_fills_absent_keys_with_the_defaults(self):
+        raw = {
+            "name": "unit", "environment": "InH", "f_c_ghz": 2.4, "tx": [0, 25, 3],
+            "rx": [40, 48, 1.5], "ris_center": [38, 50, 3], "ris_z_sweep": [],
+        }
+        expected = ExperimentConfig(
+            "unit", Environment.INH, 2.4, Point3(0, 25, 3), Point3(40, 48, 1.5), Point3(38, 50, 3)
+        )
+        assert ExperimentConfig.from_dict(raw) == expected
+        del raw["rx"], raw["tx"]
+        with pytest.raises(ValueError, match="missing config keys: tx, rx"):
+            ExperimentConfig.from_dict(raw)
+        with pytest.raises(ValueError, match="a config is a JSON object, got list"):
+            ExperimentConfig.from_dict(list(raw))
 
     def test_sweep_point_enumeration_order(self):
         config = small_config(
@@ -130,6 +169,42 @@ class TestConfig:
         raw[key] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p_t_dbm", math.nan),
+            ("n_0_dbm", -math.inf),
+            ("f_c_ghz", math.inf),
+            ("spacing_m", math.inf),
+            ("element_pattern_q", math.inf),
+            ("no_ris_baseline_extra_db", math.nan),
+            ("ris_x_sweep", (38.0, math.inf)),
+            ("ris_z_sweep", (math.nan,)),
+        ],
+    )
+    def test_rejects_non_finite_numbers_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            small_config(**{key: value})
+        raw = json.loads(json.dumps({**small_config().to_dict(), key: value}))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_elements", [16.7]), ("trials", 2.9), ("master_seed", 1.5), ("trials", math.inf)],
+    )
+    def test_from_dict_rejects_a_fraction_for_an_integer(self, key, value):
+        raw = {**small_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"{key}: .* is not a whole number"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_accepts_whole_floats_for_integers(self):
+        raw = {**small_config().to_dict(), "trials": 2000.0, "n_elements": [16.0, 64]}
+        config = ExperimentConfig.from_dict(raw)
+        assert config.trials == 2000 and type(config.trials) is int
+        assert config.n_elements == (16, 64)
+        assert all(type(n) is int for n in config.n_elements)
 
     def test_default_spacing_is_half_wavelength(self):
         config = small_config()
@@ -556,6 +631,14 @@ class TestOutputs:
         assert row["n_elements"] == 16
         assert row["error"] is None
         assert isinstance(row["mean_rate_bps_hz"], float)
+
+    def test_csv_quotes_a_name_with_separators(self):
+        name = 'a,b "c"\nd'
+        row = SweepResult(0, SweepPoint(38, 50, 3, 16, 20.0), 1.0, 0.5, 30.0, 1.0, 0.0,
+                          "near_field", 2, 99)
+        records = list(csv.reader(io.StringIO(RateStats(name, [row]).to_csv_text())))
+        assert [len(record) for record in records] == [len(CSV_COLUMNS)] * 2
+        assert records[1][0] == name and records[1][-1] == "99"
 
     def test_json_writes_infinities_as_null(self):
         nan, inf = float("nan"), float("inf")

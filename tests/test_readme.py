@@ -1,7 +1,11 @@
-"""README's library example runs against the package's public exports."""
+"""README's library example and config example run against the package."""
 
+import json
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+from rissim import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +17,15 @@ def test_library_use_block_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     rate = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert rate > 0.0
+
+
+def test_config_block_parses_and_names_every_field():
+    section = README.read_text().split("## Config file schema", 1)[1]
+    raw = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert set(raw) == {f.name for f in fields(ExperimentConfig)}
+    config = ExperimentConfig.from_dict(raw)
+    assert config.to_dict() == raw
+    # The text says which optional keys the example sets away from their defaults.
+    kept = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    kept |= {"n_elements", "boresight", "no_ris_baseline_extra_db"}
+    assert ExperimentConfig.from_dict({key: raw[key] for key in kept}) == config
