@@ -24,6 +24,12 @@ EXIT_RUNTIME_ERROR = 2
 SEED_ENV_VAR = "RIS_SIM_SEED"
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rissim",
@@ -36,7 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument(
+            "--workers", type=_worker_count, default=1,
+            help="most processes for the sweep (default 1); a sweep projected to take "
+            "under half a second runs in-process, and the pool never exceeds the usable "
+            "cores or the points left; the output is the same for any value",
+        )
 
     run = sub.add_parser("run", help="run an experiment from a JSON config file")
     run.add_argument("--config", required=True, help="path to the JSON config")

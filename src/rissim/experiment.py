@@ -15,6 +15,8 @@ import io
 import json
 import math
 import operator
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -223,6 +225,8 @@ def _convert(key: str, kind, value):
         value = None if value is None else _convert(key, get_args(kind)[0], value)
         return None if value == () else value
     args = (value,)
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
     if origin is tuple or kind is Point3:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {value!r}")
@@ -632,31 +636,67 @@ def _set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
+# Projected serial seconds of a sweep's remaining points above which they go
+# to the process pool: about ten times what a pool with cold workers costs.
+# On a 2-core machine an idle two-process pool takes 12-25 ms to start and
+# stop, and fig4 at 20 trials took ~160 ms with the pool against ~70 ms in
+# one process, because forked workers run their first points slowly.
+_POOL_MIN_SECONDS = 0.5
+
+
+def _pool_pays(elapsed_s: float, done: int, left: int) -> bool:
+    """Whether ``left`` points, at the mean time of the ``done`` points run in
+    ``elapsed_s``, would take longer than ``_POOL_MIN_SECONDS``.
+
+    False until a point is done: there is nothing yet to project from.
+    """
+    return done > 0 and elapsed_s / done * left > _POOL_MIN_SECONDS
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (``os.cpu_count()`` where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     """Run the full sweep.
 
-    Sweep points are independent units of work; with ``workers`` > 1 they are
-    distributed over processes. Results are merged in sweep-index order, so
-    the output is identical for any worker count. The process pool is the
-    only parallelism: every process runs the sweep with one BLAS thread, since
-    the matrix products of one trial are too small to gain from more, and
-    the caller's thread count is restored afterwards.
+    Sweep points are independent units of work. They run in this process in
+    index order; with ``workers`` > 1, the remaining points go to a process
+    pool once their projected serial time (the mean time of the points done
+    so far times the points left) exceeds ``_POOL_MIN_SECONDS``. A small
+    sweep therefore never starts a pool, and a long one starts it after its
+    first point. The pool holds ``min(workers, usable cores, points left)``
+    processes; a pool of one is never started. Rows are kept in sweep-index
+    order and every point draws from its own RNG streams, so the output is
+    identical for any worker count. The process pool is the only
+    parallelism: every point runs with one BLAS thread, since the matrix
+    products of one trial are too small to gain from more, and the caller's
+    thread count is restored afterwards.
     """
     points = config.sweep_points()
-    indices = range(len(points))
+    workers = min(workers, _usable_cores())
+    rows = []
     previous = _set_blas_threads(1)
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
-            ) as pool:
-                rows = list(pool.map(_run_sweep_point, repeat(config), indices, points))
-        else:
-            rows = list(map(_run_sweep_point, repeat(config), indices, points))
+        start = time.perf_counter()
+        for index, point in enumerate(points):
+            left = len(points) - index
+            pool_size = min(workers, left)
+            if pool_size > 1 and _pool_pays(time.perf_counter() - start, index, left):
+                with ProcessPoolExecutor(
+                    max_workers=pool_size, initializer=_set_blas_threads, initargs=(1,)
+                ) as pool:
+                    rest = range(index, len(points))
+                    rows += pool.map(_run_sweep_point, repeat(config), rest, points[index:])
+                break
+            rows.append(_run_sweep_point(config, index, point))
     finally:
         if previous is not None:
             _set_blas_threads(previous)
-    rows.sort(key=lambda r: r.index)
     return RateStats(preset=config.name, rows=rows)
 
 

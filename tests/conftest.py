@@ -81,3 +81,25 @@ def make_scenario(
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """``run_experiment`` hands every point after the first to its process pool.
+
+    Returns the list of the sizes of the pools started, one entry per pool.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from rissim import experiment
+
+    sizes = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "_POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordedPool)
+    return sizes

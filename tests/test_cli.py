@@ -162,6 +162,37 @@ class TestRunCommand:
                      "--workers", "2", "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_workers_flag_with_the_pool_started(self, tmp_path, forced_pool):
+        raw = {**tiny_config_dict(), "ris_z_sweep": [2.0, 3.0, 2.5]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        outputs = []
+        for workers in ("1", "2", "3"):
+            outputs.append(tmp_path / f"w{workers}.csv")
+            assert main(["run", "--config", str(path), "--workers", workers,
+                         "--output", str(outputs[-1])]) == 0
+        assert forced_pool == [2, 2]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_below_one_exits_one_naming_the_flag(self, tmp_path, capsys, workers):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict()))
+        assert main(["run", "--config", str(path), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert main(["preset", "fig4", "--trials", "1", "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("name", [1, 2]), ("steering_convention", None), ("boresight", 1)]
+    )
+    def test_non_string_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
+        raw = {**tiny_config_dict(), key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{key} must be a string" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_validate_passes(self, capsys):

@@ -206,6 +206,21 @@ class TestConfig:
         assert config.n_elements == (16, 64)
         assert all(type(n) is int for n in config.n_elements)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("name", [1, 2]),
+            ("name", None),
+            ("boresight", 1),
+            ("steering_convention", None),
+            ("steering_convention", ["reference"]),
+        ],
+    )
+    def test_from_dict_rejects_a_non_string_for_a_string_key(self, key, value):
+        raw = {**small_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a string, got "):
+            ExperimentConfig.from_dict(raw)
+
     def test_default_spacing_is_half_wavelength(self):
         config = small_config()
         assert config.spacing() == pytest.approx(0.1249167 / 2, abs=1e-6)
@@ -229,6 +244,21 @@ class TestRunExperiment:
         serial = run_experiment(config, workers=1)
         parallel = run_experiment(config, workers=2)
         assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_pooled_points_match_serial_on_a_mixed_sweep(self, forced_pool):
+        # No-RIS, far-field, near-field and error rows; every point after the
+        # first runs in the pool.
+        config = small_config(
+            n_elements=(0, 16, 1024), ris_y_sweep=(50.0, 40.0), regime_override=None, trials=3
+        )
+        serial = run_experiment(config, workers=1)
+        assert forced_pool == []
+        pooled = run_experiment(config, workers=2)
+        assert forced_pool == [2]
+        assert pooled.to_csv_text().encode() == serial.to_csv_text().encode()
+        assert [row.error for row in pooled.rows] == [row.error for row in serial.rows]
+        assert {row.regime for row in pooled.rows[1:]} == {"none", "far_field", "near_field"}
+        assert sum(row.error is not None for row in pooled.rows) == 2
 
     def test_no_ris_point_equals_direct_only_rate(self):
         config = small_config(n_elements=(0,), trials=20)
@@ -550,6 +580,98 @@ class TestFailureScope:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(small_config(trials=2))
 
+    def test_pooled_exception_becomes_that_points_error_row(self, monkeypatch, forced_pool):
+        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_1)
+        config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
+        stats = run_experiment(config, workers=2)
+        assert forced_pool == [2]
+        assert [row.index for row in stats.rows] == [0, 1, 2]
+        assert stats.rows[1].error == "RuntimeError: trial failed"
+        assert math.isnan(stats.rows[1].mean_rate_bps_hz)
+        for row in (stats.rows[0], stats.rows[2]):
+            assert row.error is None
+            assert math.isfinite(row.mean_rate_bps_hz) and row.trials == 4
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in for the process pool that runs its points in this process.
+
+    Returns the list of the sizes of the pools started; starts no process.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "_POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class TestPoolChoice:
+    def test_pool_pays_only_above_the_constant(self):
+        limit = experiment._POOL_MIN_SECONDS
+        assert not experiment._pool_pays(0.5 * limit, 1, 1)
+        assert not experiment._pool_pays(limit, 2, 2)
+        assert experiment._pool_pays(1.01 * limit, 2, 2)
+        assert experiment._pool_pays(0.3 * limit, 1, 4)
+        assert not experiment._pool_pays(0.2 * limit, 2, 9)
+
+    def test_pool_never_pays_before_a_point_is_done(self):
+        assert not experiment._pool_pays(0.0, 0, 330)
+        assert not experiment._pool_pays(100.0, 0, 330)
+
+    def test_small_preset_sweep_starts_no_pool(self, monkeypatch):
+        config = replace(figure_presets()["fig4"], trials=5)
+        serial = run_experiment(config, workers=1)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        stats = run_experiment(config, workers=2)
+        assert stats.to_csv_text() == serial.to_csv_text()
+
+    @pytest.mark.parametrize(
+        "workers, cores, points, sizes",
+        [
+            (2, 16, 6, [2]),  # the workers asked for
+            (8, 2, 6, [2]),  # the usable cores
+            (8, 16, 4, [3]),  # the points left after the first
+            (3, 16, 6, [3]),
+            (8, 16, 2, []),  # one point left: no pool of one
+            (8, 1, 6, []),  # one core
+            (1, 16, 6, []),
+        ],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, inline_pool, workers, cores, points, sizes):
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: cores)
+        config = small_config(ris_z_sweep=tuple(2.0 + 0.1 * i for i in range(points)), trials=1)
+        stats = run_experiment(config, workers=workers)
+        assert inline_pool == sizes
+        assert [row.index for row in stats.rows] == list(range(points))
+
+    def test_usable_cores_from_the_affinity_mask_or_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert experiment._usable_cores() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert experiment._usable_cores() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._usable_cores() == 1
+
 
 _unchecked_run_sweep_point = experiment._run_sweep_point
 
@@ -584,6 +706,15 @@ class TestBlasThreads:
         monkeypatch.setattr(experiment, "_run_sweep_point", sweep_point_on_one_blas_thread)
         stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0), trials=2), workers=workers)
         assert [row.error for row in stats.rows] == [None, None]
+        assert two_threads() == 2
+
+    def test_one_thread_in_each_pooled_point_then_restored(
+        self, monkeypatch, two_threads, forced_pool
+    ):
+        monkeypatch.setattr(experiment, "_run_sweep_point", sweep_point_on_one_blas_thread)
+        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=2), workers=2)
+        assert forced_pool == [2]
+        assert [row.error for row in stats.rows] == [None, None, None]
         assert two_threads() == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
