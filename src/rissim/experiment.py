@@ -637,10 +637,11 @@ def _set_blas_threads(count: int) -> Optional[int]:
 
 
 # Projected serial seconds of a sweep's remaining points above which they go
-# to the process pool: about ten times what a pool with cold workers costs.
-# On a 2-core machine an idle two-process pool takes 12-25 ms to start and
-# stop, and fig4 at 20 trials took ~160 ms with the pool against ~70 ms in
-# one process, because forked workers run their first points slowly.
+# to the process pool. Timed on fig4 with two workers on a 2-core machine
+# where two busy processes had ~1.25x the throughput of one (BENCH_8.json,
+# "pool_cutoff"): a pool started after the first point cost time with up to
+# ~0.25 s of points left (x2.4 at 20 trials, x1.1 at 100), broke even at
+# ~0.3-0.4 s and saved time from ~0.5 s (x0.89 at 200 trials, x0.78 at 2000).
 _POOL_MIN_SECONDS = 0.5
 
 

@@ -87,7 +87,9 @@ def rng():
 def forced_pool(monkeypatch):
     """``run_experiment`` hands every point after the first to its process pool.
 
-    Returns the list of the sizes of the pools started, one entry per pool.
+    Two cores count as usable whatever the host's CPU affinity, so the pool
+    sizes do not depend on the machine. Returns the list of the sizes of the
+    pools started, one entry per pool.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -101,5 +103,6 @@ def forced_pool(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(experiment, "_POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordedPool)
     return sizes
