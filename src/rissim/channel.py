@@ -10,8 +10,10 @@ A stochastic link's constants (``_Link``) are computed once per sweep point.
 A chunk of trials is generated in two phases: ``_Link.draw``, the one
 statement of the draw order, makes each trial's draws from its generator;
 ``_Link.map_draws`` then feeds the draws of all trials in one LOS state,
-stacked on a trial axis, to the stages' pure mappings. The one-trial
-functions below are the same code on a chunk of one.
+stacked on a trial axis, to the stages' pure mappings. ``_Link.generate``
+runs both phases for a chunk and keeps its LOS states and channels in trial
+order. ``_Link.one_trial``, behind the one-trial functions below, maps one
+trial's draws as a chunk of one and also returns the trial's metadata.
 """
 
 from __future__ import annotations
@@ -63,6 +65,28 @@ from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angle
 # Working-set budget of one chunk of trials, in bytes; a chunk's steering
 # block is built in tiles within the same budget.
 _CHUNK_BYTES = 1 << 20
+
+
+def _chunk_trials(links) -> int:
+    """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
+
+    Counts what the stages hold per trial, as measured with tracemalloc: for
+    each of the C*S rays about eight float64 values on a panel link (the
+    stacked draws, ray angles, phases, mask, the surviving rays' values) and
+    four on the direct link, and on a panel link 64 bytes per element (the
+    complex assembly grid and channel vector, and link evaluation's float
+    temporaries). The steering block is left out: assembly builds it in
+    tiles within the same budget. The estimate depends on the point alone,
+    never on ``workers``.
+    """
+    per_trial = 0
+    for link in links:
+        rays = max(p.cluster_count * p.rays_per_cluster for p in link.params.values())
+        if link.panel is None:
+            per_trial += 8 * 4 * rays
+        else:
+            per_trial += 8 * 8 * rays + 64 * link.panel.n_elements
+    return max(1, _CHUNK_BYTES // per_trial)
 
 
 class FieldRegime(Enum):
@@ -270,6 +294,49 @@ class _Link:
         )
         return vector, pl_db, lsps, clusters
 
+    def generate(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
+        """(LOS states, channels) of a chunk's trials, in trial order.
+
+        ``draws`` holds each trial's ``draw`` result. The trials of each LOS
+        state are mapped together and their channels scattered back to trial
+        order: the states are (T,), the channels (T, N) or (T,). Empties
+        ``draws`` once each LOS state's draws are stacked, so the chunk holds
+        every draw once while its stages run.
+        """
+        los = np.array([state for state, _ in draws], dtype=bool)
+        stacked = []
+        for state in (True, False):
+            trials = np.flatnonzero(los == state)
+            if trials.size:
+                blocks = [np.array(column) for column in zip(*(draws[i][1] for i in trials))]
+                stacked.append((state, trials, blocks))
+        draws.clear()
+        shape = los.shape if self.panel is None else (los.size, self.panel.n_elements)
+        values = np.empty(shape, dtype=complex)
+        for state, trials, blocks in stacked:
+            values[trials] = self.map_draws(state, blocks)[0]
+        return los, values
+
+    def one_trial(self, rng: np.random.Generator) -> tuple:
+        """(channel, ``LinkMetadata``) of one trial drawn from ``rng``: a chunk of one."""
+        los, draws = self.draw(rng)
+        value, pl_db, lsps, clusters = self.map_draws(los, [d[None] for d in draws])
+        clusters = None if clusters is None else _trial_of(clusters, 0)
+        return value[0], LinkMetadata(
+            kind=self.kind,
+            state=LinkState(los=los, forced=self.forced_los),
+            path_loss_db=float(pl_db[0]),
+            lsps=_trial_of(lsps, 0),
+            cluster_set=clusters,
+            los_direction=self.los_direction,
+            fully_shadowed=clusters is not None and clusters.fully_shadowed,
+        )
+
+
+def _trial_of(record, i: int):
+    """Trial ``i`` of a chunk's record (``LargeScaleParams`` or ``ClusterSet``)."""
+    return replace(record, **{f.name: getattr(record, f.name)[i] for f in fields(record)})
+
 
 def _panel_link(
     kind: str,
@@ -339,71 +406,6 @@ def _direct_link(
     )
 
 
-def _trial_of(record, i: int):
-    """Trial ``i`` of a chunk's record (``LargeScaleParams`` or ``ClusterSet``)."""
-    return replace(record, **{f.name: getattr(record, f.name)[i] for f in fields(record)})
-
-
-@dataclass(frozen=True)
-class _LinkChunk:
-    """One link generated for a chunk of trials.
-
-    ``values`` holds the channels in trial order, (T, N) or (T,); ``groups``
-    holds, per LOS state present, the trial indices and what
-    ``_Link.map_draws`` returned for them besides the channel.
-    """
-
-    link: _Link
-    los: np.ndarray
-    values: np.ndarray
-    groups: tuple
-
-    @classmethod
-    def generate(cls, link: _Link, draws: list) -> "_LinkChunk":
-        """Map ``link.draw`` results of a chunk's trials, grouped by LOS state.
-
-        Empties ``draws`` once each LOS state's draws are stacked, so the
-        chunk holds every draw once while its stages run.
-        """
-        los = np.array([state for state, _ in draws], dtype=bool)
-        stacked = []
-        for state in (True, False):
-            trials = np.flatnonzero(los == state)
-            if trials.size:
-                blocks = [np.array(column) for column in zip(*(draws[i][1] for i in trials))]
-                stacked.append((state, trials, blocks))
-        draws.clear()
-        shape = los.shape if link.panel is None else (los.size, link.panel.n_elements)
-        values = np.empty(shape, dtype=complex)
-        groups = []
-        for state, trials, blocks in stacked:
-            value, *rest = link.map_draws(state, blocks)
-            values[trials] = value
-            groups.append((trials, *rest))
-        return cls(link, los, values, tuple(groups))
-
-    def metadata(self, i: int) -> LinkMetadata:
-        """Metadata of trial ``i``."""
-        trials, pl_db, lsps, clusters = next(g for g in self.groups if i in g[0])
-        j = int(np.searchsorted(trials, i))
-        clusters = None if clusters is None else _trial_of(clusters, j)
-        return LinkMetadata(
-            kind=self.link.kind,
-            state=LinkState(los=bool(self.los[i]), forced=self.link.forced_los),
-            path_loss_db=float(pl_db[j]),
-            lsps=_trial_of(lsps, j),
-            cluster_set=clusters,
-            los_direction=self.link.los_direction,
-            fully_shadowed=clusters is not None and clusters.fully_shadowed,
-        )
-
-
-def _one_trial(link: _Link, rng: np.random.Generator):
-    """The link's channel and metadata for one trial drawn from ``rng``."""
-    chunk = _LinkChunk.generate(link, [link.draw(rng)])
-    return chunk.values[0], chunk.metadata(0)
-
-
 def tx_ris_channel(
     env: Environment,
     tx: Point3,
@@ -424,7 +426,7 @@ def tx_ris_channel(
     Tx sits inside the panel's Fraunhofer distance.
     """
     link = _panel_link("tx_ris", env, tx, panel, carrier, pattern, convention, scenario_overrides)
-    return _one_trial(link, rng)
+    return link.one_trial(rng)
 
 
 def ris_rx_farfield(
@@ -445,7 +447,7 @@ def ris_rx_farfield(
     arrival angles of the Tx-RIS link.
     """
     link = _panel_link("ris_rx", env, rx, panel, carrier, pattern, convention, scenario_overrides)
-    return _one_trial(link, rng)
+    return link.one_trial(rng)
 
 
 def siso_channel(
@@ -463,7 +465,7 @@ def siso_channel(
     and no angles or element pattern: each ray contributes its amplitude and
     random phase. The UMi NLOS height correction uses the Rx height.
     """
-    value, meta = _one_trial(_direct_link(env, tx, rx, carrier, scenario_overrides), rng)
+    value, meta = _direct_link(env, tx, rx, carrier, scenario_overrides).one_trial(rng)
     return complex(value), meta
 
 

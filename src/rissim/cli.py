@@ -80,10 +80,11 @@ def _run_and_emit(config: ExperimentConfig, args) -> int:
             print(f"{len(failed)} of {len(stats.rows)} sweep points failed:", file=sys.stderr)
             for row in failed:
                 print(f"  point {row.index}: {row.error}", file=sys.stderr)
+        text = stats.to_csv_text() if args.format == "csv" else stats.to_json_text()
         if args.output:
-            stats.write(args.output, args.format)
+            with open(args.output, "w", newline="") as f:
+                f.write(text)
         else:
-            text = stats.to_csv_text() if args.format == "csv" else stats.to_json_text()
             sys.stdout.write(text)
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

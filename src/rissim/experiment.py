@@ -29,11 +29,10 @@ from .array_response import STEERING_CONVENTIONS, ElementPattern
 # The engine calls no one-trial link function; tx_ris_channel, ris_rx_farfield
 # and siso_channel stay importable here, where benchmarks/layertrace.py wraps them.
 from .channel import (  # noqa: F401
-    _CHUNK_BYTES,
     ChannelRealization,
     FieldRegime,
+    _chunk_trials,
     _direct_link,
-    _LinkChunk,
     _panel_link,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -227,6 +226,8 @@ def _convert(key: str, kind, value):
     args = (value,)
     if kind is str and not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
+    if kind in (int, float) and isinstance(value, (bool, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     if origin is tuple or kind is Point3:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {value!r}")
@@ -282,11 +283,6 @@ class RateStats:
             for values, error in self._records()
         ]
         return json.dumps({"preset": self.preset, "rows": rows}, indent=2) + "\n"
-
-    def write(self, path, fmt: str = "csv") -> None:
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        with open(path, "w", newline="") as f:
-            f.write(text)
 
 
 # Constants of numpy's ``SeedSequence``: the hash that fills its entropy
@@ -402,41 +398,19 @@ def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
 _STREAMS = ("tx_ris", "tx_rx", "ris_rx")
 
 
-def _chunk_trials(links) -> int:
-    """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
-
-    Counts what the stages hold per trial, as measured with tracemalloc: for
-    each of the C*S rays about eight float64 values on a panel link (the
-    stacked draws, ray angles, phases, mask, the surviving rays' values) and
-    four on the direct link, and on a panel link 64 bytes per element (the
-    complex assembly grid and channel vector, and link evaluation's float
-    temporaries). The steering block is left out: assembly builds it in
-    tiles within the same budget. The estimate depends on the point alone,
-    never on ``workers``.
-    """
-    per_trial = 0
-    for link in links:
-        rays = max(p.cluster_count * p.rays_per_cluster for p in link.params.values())
-        if link.panel is None:
-            per_trial += 8 * 4 * rays
-        else:
-            per_trial += 8 * 8 * rays + 64 * link.panel.n_elements
-    return max(1, _CHUNK_BYTES // per_trial)
-
-
 @dataclass(frozen=True)
 class _Chunk:
     """All three channels of a chunk of trials.
 
     ``h`` and ``g`` are (T, N) (N = 0 without a panel), ``h_siso`` is (T,);
-    ``links`` maps "tx_ris", "ris_rx" and "tx_rx" to each stochastic link's
-    ``_LinkChunk`` (None for an absent or near-field link).
+    ``los`` maps "tx_ris", "ris_rx" and "tx_rx" to each stochastic link's
+    (T,) LOS states (None for an absent or near-field link).
     """
 
     h: np.ndarray
     g: np.ndarray
     h_siso: np.ndarray
-    links: dict
+    los: dict
 
 
 class _PointChannels:
@@ -445,7 +419,8 @@ class _PointChannels:
     ``place`` builds the panel, selects the RIS-Rx regime, computes the
     deterministic near-field ``g`` and every stochastic link's constants
     once. ``chunk`` draws each trial of a chunk from that trial's own RNG
-    streams, then maps the draws of all of them at once. Without elements
+    streams, then maps the draws of all of them at once; ``trial`` maps one
+    trial alone and adds each link's metadata. Without elements
     (the no-RIS baseline) ``h`` and ``g`` are empty. ``place`` is apart from
     the constructor so that a point whose geometry fails still reports the
     regime selected before the failure.
@@ -500,35 +475,34 @@ class _PointChannels:
             rngs = dict(zip(_STREAMS, _trial_rngs(config.master_seed, self.sweep_index, t)))
             for kind, link in active.items():
                 draws[kind].append(link.draw(rngs[kind]))
-        links = {
-            kind: None if link is None else _LinkChunk.generate(link, draws[kind])
-            for kind, link in self.links.items()
-        }
-        h_siso = links["tx_rx"].values
+        los = dict.fromkeys(self.links)
+        values = {}
+        for kind, link in active.items():
+            los[kind], values[kind] = link.generate(draws[kind])
+        h_siso = values["tx_rx"]
         if self.panel is None:
             h = g = np.zeros((h_siso.size, 0), dtype=complex)
-        elif self.near is None:
-            h, g = links["tx_ris"].values, links["ris_rx"].values
         else:
-            h = links["tx_ris"].values
-            g = np.broadcast_to(self.near[0], h.shape)
-        return _Chunk(h, g, h_siso, links)
+            h = values["tx_ris"]
+            g = values["ris_rx"] if self.near is None else np.broadcast_to(self.near[0], h.shape)
+        return _Chunk(h, g, h_siso, los)
 
     def trial(self, trial: int) -> ChannelRealization:
-        """One trial's channels and metadata: the engine on a chunk of one."""
-        chunk = self.chunk([trial])
-        meta = {
-            kind: None if link is None else link.metadata(0)
-            for kind, link in chunk.links.items()
+        """One trial's channels and metadata, each link drawn by ``_Link.one_trial``."""
+        rngs = dict(zip(_STREAMS, _trial_rngs(self.config.master_seed, self.sweep_index, trial)))
+        empty = (np.zeros(0, dtype=complex), None)
+        out = {
+            kind: empty if link is None else link.one_trial(rngs[kind])
+            for kind, link in self.links.items()
         }
         if self.near is not None:
-            meta["ris_rx"] = self.near[1]
+            out["ris_rx"] = self.near
         return ChannelRealization(
-            h=chunk.h[0],
-            g=chunk.g[0] if self.near is None else self.near[0],
+            h=out["tx_ris"][0],
+            g=out["ris_rx"][0],
             g_regime=self.regime,
-            h_siso=complex(chunk.h_siso[0]),
-            metadata=meta,
+            h_siso=complex(out["tx_rx"][0]),
+            metadata={kind: meta for kind, (_, meta) in out.items()},
         )
 
 
@@ -566,9 +540,9 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
             result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
             rates[start:stop] = result.rate_bps_hz
             snrs[start:stop] = result.snr_linear
-            if chunk.links["tx_ris"] is not None:
-                los_h += int(chunk.links["tx_ris"].los.sum())
-            los_siso += int(chunk.links["tx_rx"].los.sum())
+            if chunk.los["tx_ris"] is not None:
+                los_h += int(chunk.los["tx_ris"].sum())
+            los_siso += int(chunk.los["tx_rx"].sum())
     except Exception as exc:
         nan = float("nan")
         error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"

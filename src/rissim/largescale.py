@@ -161,24 +161,16 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
         raise ValueError(f"lsp_order must be {list(LSP_ORDER)}")
     consts = _angle_constants()
     c = int(raw["cluster_count"])
-    c_phi = raw.get("c_phi_nlos")
-    c_theta = raw.get("c_theta_nlos")
-    if c_phi is None:
-        try:
-            c_phi = consts["c_phi_nlos"][str(c)]
-        except KeyError:
+    scaling = {}
+    for key, angle in (("c_phi_nlos", "azimuth"), ("c_theta_nlos", "zenith")):
+        value = raw.get(key)
+        if value is None:
+            value = consts[key].get(str(c))
+        if value is None:
             raise ValueError(
-                f"no azimuth scaling constant for {c} clusters; "
-                "supply c_phi_nlos explicitly"
-            ) from None
-    if c_theta is None:
-        try:
-            c_theta = consts["c_theta_nlos"][str(c)]
-        except KeyError:
-            raise ValueError(
-                f"no zenith scaling constant for {c} clusters; "
-                "supply c_theta_nlos explicitly"
-            ) from None
+                f"no {angle} scaling constant for {c} clusters; supply {key} explicitly"
+            )
+        scaling[key] = float(value)
     lsp = raw["lsp"]
     return ScenarioParams(
         environment=env,
@@ -193,8 +185,7 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
         lsp_stds={k: float(lsp[k]["std"]) for k in LSP_ORDER},
         cross_correlation=np.array(raw["cross_correlation"], dtype=float),
         ray_offsets=np.array(raw.get("ray_offsets", consts["ray_offsets"]), dtype=float),
-        c_phi_nlos=float(c_phi),
-        c_theta_nlos=float(c_theta),
+        **scaling,
     )
 
 

@@ -62,6 +62,22 @@ class TestPresetCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["preset"] == "fig3a"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_holds_what_stdout_shows(self, tmp_path, capsys, fmt):
+        args = ["preset", "fig3a", "--trials", "2", "--format", fmt]
+        assert main(args) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / f"out.{fmt}"
+        assert main(args + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == shown.encode()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["preset", "fig3a", "--trials", "1", "--output", str(out)]) == 2
+        assert "runtime error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_env_variable_override(self, tmp_path, monkeypatch):
         base = tmp_path / "base.csv"
         enved = tmp_path / "env.csv"
@@ -132,6 +148,18 @@ class TestRunCommand:
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("trials", True), ("f_c_ghz", "2.4"), ("n_elements", [True, 4])]
+    )
+    def test_boolean_or_string_number_exits_one_naming_the_key(
+        self, tmp_path, capsys, key, value
+    ):
+        raw = {**tiny_config_dict(), key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{key} must be a number" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -21,7 +21,8 @@ import reference_paths
 from conftest import make_scenario
 from rissim import channel, experiment
 from rissim.array_response import ElementPattern
-from rissim.channel import FieldRegime, _LinkChunk, _panel_link
+from rissim.channel import FieldRegime, _panel_link
+from rissim.cli import main
 from rissim.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -209,6 +210,30 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
+            ("trials", True),
+            ("master_seed", False),
+            ("n_elements", [True, 4]),
+            ("f_c_ghz", "2.4"),
+            ("trials", "20"),
+            ("spacing_m", True),
+            ("no_ris_baseline_extra_db", "10"),
+            ("ris_x_sweep", [38.0, "40"]),
+            ("tx", [0, 25, True]),
+        ],
+    )
+    def test_from_dict_rejects_a_boolean_or_string_for_a_number(self, key, value):
+        raw = {**figure_presets()["fig4"].to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a number, got "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_accepts_an_integer_for_a_float(self):
+        raw = {**figure_presets()["fig4"].to_dict(), "p_t_dbm": 20}
+        config = ExperimentConfig.from_dict(raw)
+        assert config.p_t_dbm == 20.0 and type(config.p_t_dbm) is float
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
             ("name", [1, 2]),
             ("name", None),
             ("boresight", 1),
@@ -381,11 +406,11 @@ class TestFastPathMatchesReference:
         for start, stop in zip(bounds[:-1], bounds[1:]):
             chunk = channels.chunk(range(start, stop))
             snrs.extend(evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget).snr_linear)
-            link_h = chunk.links["tx_ris"]
+            link_h = chunk.los["tx_ris"]
             if link_h is not None:
-                los_h.extend(link_h.los)
-                mixed = mixed or 0 < link_h.los.sum() < link_h.los.size
-            los_siso.extend(chunk.links["tx_rx"].los)
+                los_h.extend(link_h)
+                mixed = mixed or 0 < link_h.sum() < link_h.size
+            los_siso.extend(chunk.los["tx_rx"])
         return np.array(snrs), los_h, los_siso, mixed
 
     @pytest.mark.parametrize(
@@ -426,6 +451,38 @@ class TestFastPathMatchesReference:
             # The Tx-RIS link is drawn LOS or NLOS, so chunks hold both.
             assert saw_mixed_chunk
 
+    @pytest.mark.parametrize(
+        "preset, index",
+        [
+            ("fig5a", 0), ("fig5a", 164), ("fig5a", 329),
+            # N=16 (far field), N=4096 (near field) and the no-RIS point.
+            ("fig4", 0), ("fig4", 4), ("fig4", 5),
+            ("fig3a", 0), ("fig5b", 0),
+        ],
+    )
+    def test_chunk_rows_equal_the_one_trial_path_bit_for_bit(self, preset, index):
+        # A chunk maps each LOS state's trials together and scatters them back
+        # to trial order; trial(t) maps every link of trial t alone.
+        config = replace(figure_presets()[preset], trials=12)
+        point = config.sweep_points()[index]
+        saw_mixed_chunk = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            channels = _PointChannels(config, index).place(point)
+            for start in range(0, config.trials, channels.chunk_trials):
+                trials = range(start, min(start + channels.chunk_trials, config.trials))
+                chunk = channels.chunk(trials)
+                states = {kind: los for kind, los in chunk.los.items() if los is not None}
+                saw_mixed_chunk |= any(0 < los.sum() < los.size for los in states.values())
+                for row, t in enumerate(trials):
+                    real = channels.trial(t)
+                    np.testing.assert_array_equal(chunk.h[row], real.h)
+                    np.testing.assert_array_equal(chunk.g[row], real.g)
+                    np.testing.assert_array_equal(chunk.h_siso[row], real.h_siso)
+                    for kind, los in states.items():
+                        assert los[row] == real.metadata[kind].state.los
+        assert saw_mixed_chunk
+
     def test_fully_shadowed_trials_in_a_chunk(self):
         # A grazing Tx with the widest azimuth spread drops every ray of some draws.
         panel = PanelGeometry.centered(Point3(0, 0, 3.0), 16, 0.05, "+y")
@@ -437,22 +494,23 @@ class TestFastPathMatchesReference:
             overrides,
         )
         seeds = range(40)
-        chunk = _LinkChunk.generate(link, [link.draw(np.random.default_rng(s)) for s in seeds])
+        _, values = link.generate([link.draw(np.random.default_rng(s)) for s in seeds])
         shadowed = []
         for i, seed in enumerate(seeds):
             ref_h, ref_state, ref_clusters = reference_paths.tx_ris_channel(
                 Environment.INH, tx, panel, carrier, np.random.default_rng(seed),
                 scenario_overrides=overrides,
             )
-            meta = chunk.metadata(i)
+            value, meta = link.one_trial(np.random.default_rng(seed))
             assert meta.state == ref_state
             assert meta.fully_shadowed == (not ref_clusters.ray_mask.any())
             np.testing.assert_array_equal(meta.cluster_set.ray_mask, ref_clusters.ray_mask)
             scale = np.abs(ref_h).max(initial=0.0)
-            np.testing.assert_allclose(chunk.values[i], ref_h, rtol=0.0, atol=1e-10 * scale)
+            np.testing.assert_allclose(values[i], ref_h, rtol=0.0, atol=1e-10 * scale)
+            np.testing.assert_allclose(value, ref_h, rtol=0.0, atol=1e-10 * scale)
             shadowed.append(meta.fully_shadowed)
         assert any(shadowed) and not all(shadowed)
-        assert not np.any(chunk.values[shadowed])
+        assert not np.any(values[shadowed])
 
     @pytest.mark.parametrize("preset, index", [("fig5a", 0), ("fig3a", 0), ("fig4", 0)])
     def test_chunk_boundaries_do_not_change_trials(self, preset, index):
@@ -788,11 +846,13 @@ class TestOutputs:
         assert record["mean_rate_bps_hz"] == 0.0
 
     def test_write_files(self, tmp_path):
-        stats = run_experiment(small_config(trials=2))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(trials=2).to_dict()))
         csv_path = tmp_path / "out.csv"
         json_path = tmp_path / "out.json"
-        stats.write(csv_path, "csv")
-        stats.write(json_path, "json")
+        for path, fmt in ((csv_path, "csv"), (json_path, "json")):
+            args = ["run", "--config", str(config_path), "--format", fmt, "--output", str(path)]
+            assert main(args) == 0
         assert csv_path.read_text().startswith("preset,")
         assert json.loads(json_path.read_text())["preset"] == "unit"
 

@@ -149,6 +149,26 @@ class TestScenarioData:
         raw["c_theta_nlos"] = 1.0
         assert scenario_params_from_dict(raw).c_phi_nlos == 1.0
 
+    def test_unknown_cluster_count_needs_the_zenith_constant_too(self):
+        raw = {
+            "environment": "InH",
+            "los_state": "NLOS",
+            "cluster_count": 7,
+            "rays_per_cluster": 20,
+            "delay_scaling": 3.0,
+            "per_cluster_shadowing_db": 3.0,
+            "c_asa_deg": 17.0,
+            "c_zsa_deg": 7.0,
+            "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
+            "cross_correlation": np.eye(7).tolist(),
+            "c_phi_nlos": 1.2,
+        }
+        with pytest.raises(ValueError, match="no zenith scaling constant .*supply c_theta_nlos"):
+            scenario_params_from_dict(raw)
+        raw["c_theta_nlos"] = 0.9
+        params = scenario_params_from_dict(raw)
+        assert (params.c_phi_nlos, params.c_theta_nlos) == (1.2, 0.9)
+
     def test_user_file_long_keys(self, tmp_path):
         import json
 
