@@ -7,13 +7,18 @@ All stochastic links are narrowband: cluster delays only shape the power and
 angle statistics, and the output is a single complex coefficient per element.
 
 A stochastic link's constants (``_Link``) are computed once per sweep point.
-A chunk of trials is generated in two phases: ``_Link.draw``, the one
-statement of the draw order, makes each trial's draws from its generator;
-``_Link.map_draws`` then feeds the draws of all trials in one LOS state,
-stacked on a trial axis, to the stages' pure mappings. ``_Link.generate``
-runs both phases for a chunk and keeps its LOS states and channels in trial
+A chunk is generated in two phases: ``_Link.draw``, the one statement of the
+draw order, makes each trial's draws from its generator; ``_Link.map_draws``
+then feeds the draws of all rows in one LOS state, stacked on a row axis, to
+the stages' pure mappings. A row is one link-trial. It brings its own link's
+path loss without shadow fading and LOS direction, and shares everything
+else with the pass, so one pass maps the Tx-RIS and far-field RIS-Rx trials
+of every point of a sweep unit (consecutive points with equal element count
+and regime, see ``experiment._units``). Every mapping works row by row, so a
+row's channel does not depend on the rows beside it. ``_Link.generate`` runs
+both phases for a set of rows and keeps their LOS states and channels in row
 order. ``_Link.one_trial``, behind the one-trial functions below, maps one
-trial's draws as a chunk of one and also returns the trial's metadata.
+trial's draws as a set of one row and also returns the trial's metadata.
 """
 
 from __future__ import annotations
@@ -67,25 +72,27 @@ from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angle
 _CHUNK_BYTES = 1 << 20
 
 
-def _chunk_trials(links) -> int:
+def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
 
     Counts what the stages hold per trial, as measured with tracemalloc: for
-    each of the C*S rays about eight float64 values on a panel link (the
-    stacked draws, ray angles, phases, mask, the surviving rays' values) and
-    four on the direct link, and on a panel link 64 bytes per element (the
-    complex assembly grid and channel vector, and link evaluation's float
-    temporaries). The steering block is left out: assembly builds it in
-    tiles within the same budget. The estimate depends on the point alone,
-    never on ``workers``.
+    each of the C*S rays (the larger of the LOS and NLOS tables' counts)
+    about eight float64 values on a panel link (the stacked draws, ray
+    angles, phases, mask, the surviving rays' values) and four on the direct
+    link, and on a panel link 64 bytes per element (the complex assembly
+    grid and channel vector, and link evaluation's float temporaries). A
+    point has two panel links in the far field, one in the near field and
+    none without elements; both panel links of a trial are mapped in one
+    pass, so all of this is held at once. The steering block is left out:
+    assembly builds it in tiles within the same budget. The estimate depends
+    on the point alone, never on ``workers``.
     """
-    per_trial = 0
-    for link in links:
-        rays = max(p.cluster_count * p.rays_per_cluster for p in link.params.values())
-        if link.panel is None:
-            per_trial += 8 * 4 * rays
-        else:
-            per_trial += 8 * 8 * rays + 64 * link.panel.n_elements
+    rays = max(
+        p.cluster_count * p.rays_per_cluster
+        for p in (load_scenario_params(env, los) for los in (True, False))
+    )
+    panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
+    per_trial = 8 * 4 * rays + panel_links * (8 * 8 * rays + 64 * n_elements)
     return max(1, _CHUNK_BYTES // per_trial)
 
 
@@ -209,16 +216,22 @@ class _Link:
 
     A panel link (Tx-RIS or far-field RIS-Rx) carries its panel, LOS
     direction, element pattern and steering convention; the direct link
-    carries none of them.
+    carries none of them. ``pl_db`` is the path loss in dB without shadow
+    fading, per LOS state.
+
+    A mapping pass takes link-trial rows: row i is a trial of its own link.
+    A row's link gives the pass only its ``pl_db`` and LOS direction; the
+    environment, scenario tables, panel side and spacing, pattern,
+    convention and wavelength are the first row's and must be those of
+    every row. The Tx-RIS and far-field RIS-Rx links of the points of one
+    sweep unit share them, and so do its direct links.
     """
 
     kind: str
     env: Environment
     forced_los: bool
     los_probability: float
-    d3d: float
-    h_ut: float
-    f_c_ghz: float
+    pl_db: Mapping[bool, float]
     params: Mapping[bool, ScenarioParams]
     panel: Optional[PanelGeometry] = None
     los_direction: Optional[SphericalAngles] = None
@@ -249,22 +262,24 @@ class _Link:
         draws.append(rng.random((c, s)))
         return los, draws
 
-    def map_draws(self, los: bool, blocks: list) -> tuple:
-        """(channel, path loss dB, LSPs, cluster set) of trials in one LOS state.
+    @staticmethod
+    def map_draws(rows: list, los: bool, blocks: list) -> tuple:
+        """(channel, path loss dB, LSPs, cluster set) of link-trial rows in one LOS state.
 
-        ``blocks[k]`` stacks the k-th draw of ``draw`` of every trial on a
-        leading trial axis, which every result carries: the channel is (T, N)
-        for a panel link and (T,) for the direct link, whose cluster set is
-        None. Empties ``blocks``, so each block is freed once it is mapped.
+        ``rows[i]`` is the link of row i. ``blocks[k]`` stacks the k-th draw
+        of ``draw`` of every row on a leading row axis, which every result
+        carries: the channel is (T, N) for panel links and (T,) for direct
+        links, whose cluster set is None. Every stage maps each row alone,
+        so a row's values do not depend on the other rows. Empties
+        ``blocks``, so each block is freed once it is mapped.
         """
-        params = self.params[los]
+        link = rows[0]
+        params = link.params[los]
         s = params.rays_per_cluster
         lsp, delay, shadow, *angles, phase = blocks
         blocks.clear()
         lsps = lsps_from_normals(params, lsp)
-        pl_db = path_loss_db(
-            self.env, los, self.d3d, self.f_c_ghz, h_ut=self.h_ut, sf_db=lsps.sf_db
-        )
+        pl_db = np.array([row.pl_db[los] for row in rows]) + lsps.sf_db
         delays = delays_from_uniforms(params.delay_scaling, lsps.ds_s, delay)
         powers = powers_from_normals(
             delays,
@@ -277,50 +292,56 @@ class _Link:
         )
         phases = phases_from_uniforms(phase)
         pl_linear = 10.0 ** (pl_db / 10.0)
-        if self.panel is None:
+        if link.panel is None:
             # No angles or element pattern: each ray adds its amplitude and phase.
             rays = np.sqrt(powers[..., None] / s) * np.exp(1j * phases)
             value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
             return value, pl_db, lsps, None
+        los_zenith, los_azimuth = np.array(
+            [(row.los_direction.zenith_deg, row.los_direction.azimuth_deg) for row in rows]
+        ).T[:, :, None]
         zenith, azimuth = ray_angles_from(
-            self.env, powers, lsps, self.los_direction, los, params, *angles
+            link.env, powers, lsps, los_zenith, los_azimuth, los, params, *angles
         )
         del angles, phase
         clusters = filter_front_hemisphere(
             build_cluster_set(delays, powers, zenith, azimuth, phases)
         )
         vector = _assemble_panel_channel(
-            self.panel, clusters, pl_linear, self.pattern, self.wavelength_m, self.convention
+            link.panel, clusters, pl_linear, link.pattern, link.wavelength_m, link.convention
         )
         return vector, pl_db, lsps, clusters
 
-    def generate(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
-        """(LOS states, channels) of a chunk's trials, in trial order.
+    @staticmethod
+    def generate(rows: list) -> tuple[np.ndarray, np.ndarray]:
+        """(LOS states, channels) of link-trial rows, in row order.
 
-        ``draws`` holds each trial's ``draw`` result. The trials of each LOS
-        state are mapped together and their channels scattered back to trial
-        order: the states are (T,), the channels (T, N) or (T,). Empties
-        ``draws`` once each LOS state's draws are stacked, so the chunk holds
-        every draw once while its stages run.
+        ``rows`` holds a ``(link, link.draw(rng))`` pair per row. The rows of
+        each LOS state are mapped in one pass and their channels scattered
+        back to row order: the states are (T,), the channels (T, N) or (T,).
+        Empties ``rows`` once each LOS state's draws are stacked, so the
+        chunk holds every draw once while its stages run.
         """
-        los = np.array([state for state, _ in draws], dtype=bool)
+        los = np.array([state for _, (state, _) in rows], dtype=bool)
         stacked = []
         for state in (True, False):
-            trials = np.flatnonzero(los == state)
-            if trials.size:
-                blocks = [np.array(column) for column in zip(*(draws[i][1] for i in trials))]
-                stacked.append((state, trials, blocks))
-        draws.clear()
-        shape = los.shape if self.panel is None else (los.size, self.panel.n_elements)
+            index = np.flatnonzero(los == state)
+            if index.size:
+                links = [rows[i][0] for i in index]
+                blocks = [np.array(column) for column in zip(*(rows[i][1][1] for i in index))]
+                stacked.append((state, index, links, blocks))
+        panel = rows[0][0].panel
+        rows.clear()
+        shape = los.shape if panel is None else (los.size, panel.n_elements)
         values = np.empty(shape, dtype=complex)
-        for state, trials, blocks in stacked:
-            values[trials] = self.map_draws(state, blocks)[0]
+        for state, index, links, blocks in stacked:
+            values[index] = _Link.map_draws(links, state, blocks)[0]
         return los, values
 
     def one_trial(self, rng: np.random.Generator) -> tuple:
-        """(channel, ``LinkMetadata``) of one trial drawn from ``rng``: a chunk of one."""
+        """(channel, ``LinkMetadata``) of one trial drawn from ``rng``: one row."""
         los, draws = self.draw(rng)
-        value, pl_db, lsps, clusters = self.map_draws(los, [d[None] for d in draws])
+        value, pl_db, lsps, clusters = self.map_draws([self], los, [d[None] for d in draws])
         clusters = None if clusters is None else _trial_of(clusters, 0)
         return value[0], LinkMetadata(
             kind=self.kind,
@@ -336,6 +357,14 @@ class _Link:
 def _trial_of(record, i: int):
     """Trial ``i`` of a chunk's record (``LargeScaleParams`` or ``ClusterSet``)."""
     return replace(record, **{f.name: getattr(record, f.name)[i] for f in fields(record)})
+
+
+def _path_losses(
+    env: Environment, d3d: float, carrier: CarrierConfig, h_ut: float, forced_los: bool = False
+) -> dict:
+    """Path loss in dB without shadow fading, per LOS state the link can be in."""
+    states = (True,) if forced_los else (True, False)
+    return {los: path_loss_db(env, los, d3d, carrier.f_c_ghz, h_ut=h_ut) for los in states}
 
 
 def _panel_link(
@@ -371,9 +400,7 @@ def _panel_link(
         env=env,
         forced_los=forced,
         los_probability=1.0 if forced else los_probability(env, distance_2d(terminal, center)),
-        d3d=d3d,
-        h_ut=center.z - 1.0,
-        f_c_ghz=carrier.f_c_ghz,
+        pl_db=_path_losses(env, d3d, carrier, center.z - 1.0, forced),
         params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
         panel=panel,
         los_direction=los_angles(panel, terminal),
@@ -399,9 +426,7 @@ def _direct_link(
         env=env,
         forced_los=False,
         los_probability=los_probability(env, distance_2d(tx, rx)),
-        d3d=d3d,
-        h_ut=rx.z,
-        f_c_ghz=carrier.f_c_ghz,
+        pl_db=_path_losses(env, d3d, carrier, rx.z),
         params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
     )
 

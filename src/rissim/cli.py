@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers", type=_worker_count, default=1,
             help="most processes for the sweep (default 1); a sweep projected to take "
             "under half a second runs in-process, and the pool never exceeds the usable "
-            "cores or the points left; the output is the same for any value",
+            "cores or the units of work left; the output is the same for any value",
         )
 
     run = sub.add_parser("run", help="run an experiment from a JSON config file")

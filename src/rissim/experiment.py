@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -33,6 +34,7 @@ from .channel import (  # noqa: F401
     FieldRegime,
     _chunk_trials,
     _direct_link,
+    _Link,
     _panel_link,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -413,17 +415,28 @@ class _Chunk:
     los: dict
 
 
+def _panel_and_regime(config: ExperimentConfig, point: SweepPoint, carrier: CarrierConfig):
+    """The point's panel and its RIS-Rx field regime."""
+    panel = PanelGeometry.centered(
+        Point3(point.ris_x, point.ris_y, point.ris_z),
+        point.n_elements,
+        config.spacing(),
+        config.boresight,
+    )
+    return panel, select_field_regime(panel, config.rx, carrier, config.regime_override)
+
+
 class _PointChannels:
-    """Per-point constants of one sweep point and its chunked trial engine.
+    """Per-point constants of one sweep point.
 
     ``place`` builds the panel, selects the RIS-Rx regime, computes the
     deterministic near-field ``g`` and every stochastic link's constants
     once. ``chunk`` draws each trial of a chunk from that trial's own RNG
-    streams, then maps the draws of all of them at once; ``trial`` maps one
-    trial alone and adds each link's metadata. Without elements
-    (the no-RIS baseline) ``h`` and ``g`` are empty. ``place`` is apart from
-    the constructor so that a point whose geometry fails still reports the
-    regime selected before the failure.
+    streams, then maps the draws of all of them at once (``_chunk`` for this
+    point alone); ``trial`` maps one trial alone and adds each link's
+    metadata. Without elements (the no-RIS baseline) ``h`` and ``g`` are
+    empty. ``place`` is apart from the constructor so that a point whose
+    geometry fails still reports the regime selected before the failure.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int):
@@ -431,6 +444,7 @@ class _PointChannels:
         self.sweep_index = sweep_index
         self.carrier = CarrierConfig(config.f_c_ghz)
         self.pattern = ElementPattern(config.element_pattern_q)
+        self.point = None
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
         self.near = None
@@ -444,17 +458,10 @@ class _PointChannels:
     def place(self, point: SweepPoint) -> "_PointChannels":
         config = self.config
         env, carrier = config.environment, self.carrier
+        self.point = point
         links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
-            self.panel = PanelGeometry.centered(
-                Point3(point.ris_x, point.ris_y, point.ris_z),
-                point.n_elements,
-                config.spacing(),
-                config.boresight,
-            )
-            self.regime = select_field_regime(
-                self.panel, config.rx, carrier, config.regime_override
-            )
+            self.panel, self.regime = _panel_and_regime(config, point, carrier)
             if self.regime is FieldRegime.NEAR_FIELD:
                 self.near = ris_rx_nearfield(self.panel, config.rx, carrier)
             panel_args = (self.panel, carrier, self.pattern, config.steering_convention)
@@ -463,29 +470,12 @@ class _PointChannels:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, *panel_args)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
-        self.chunk_trials = _chunk_trials(link for link in links.values() if link is not None)
+        self.chunk_trials = _chunk_trials(env, point.n_elements, self.regime)
         return self
 
     def chunk(self, trials) -> _Chunk:
         """Channels of the given trials: a draw loop, then one mapping pass."""
-        config = self.config
-        active = {kind: link for kind, link in self.links.items() if link is not None}
-        draws = {kind: [] for kind in active}
-        for t in trials:
-            rngs = dict(zip(_STREAMS, _trial_rngs(config.master_seed, self.sweep_index, t)))
-            for kind, link in active.items():
-                draws[kind].append(link.draw(rngs[kind]))
-        los = dict.fromkeys(self.links)
-        values = {}
-        for kind, link in active.items():
-            los[kind], values[kind] = link.generate(draws[kind])
-        h_siso = values["tx_rx"]
-        if self.panel is None:
-            h = g = np.zeros((h_siso.size, 0), dtype=complex)
-        else:
-            h = values["tx_ris"]
-            g = values["ris_rx"] if self.near is None else np.broadcast_to(self.near[0], h.shape)
-        return _Chunk(h, g, h_siso, los)
+        return _chunk([(self, trials)])
 
     def trial(self, trial: int) -> ChannelRealization:
         """One trial's channels and metadata, each link drawn by ``_Link.one_trial``."""
@@ -506,6 +496,41 @@ class _PointChannels:
         )
 
 
+def _chunk(parts: list) -> _Chunk:
+    """Channels of a chunk whose rows are the given trials of placed points.
+
+    ``parts`` holds ``(point channels, trials)`` pairs of points with equal
+    element count and regime; the chunk's rows are each part's trials in
+    order. Every trial draws from its own RNG streams. Then the Tx-RIS and
+    far-field RIS-Rx rows of every point go through one mapping pass per LOS
+    state, and the direct rows through another.
+    """
+    rows = {kind: [] for kind in _STREAMS}
+    for channels, trials in parts:
+        links = channels.links
+        for t in trials:
+            rngs = _trial_rngs(channels.config.master_seed, channels.sweep_index, t)
+            for kind, rng in zip(_STREAMS, rngs):
+                if links[kind] is not None:
+                    rows[kind].append((links[kind], links[kind].draw(rng)))
+    los = dict.fromkeys(_STREAMS)
+    los["tx_rx"], h_siso = _Link.generate(rows.pop("tx_rx"))
+    n_h = len(rows["tx_ris"])
+    panel_rows = rows.pop("tx_ris") + rows.pop("ris_rx")
+    if not panel_rows:
+        h = g = np.zeros((h_siso.size, 0), dtype=complex)
+        return _Chunk(h, g, h_siso, los)
+    far = len(panel_rows) > n_h
+    states, values = _Link.generate(panel_rows)
+    los["tx_ris"], h = states[:n_h], values[:n_h]
+    if far:
+        los["ris_rx"], g = states[n_h:], values[n_h:]
+    else:
+        nears = [np.broadcast_to(c.near[0], (len(t), c.panel.n_elements)) for c, t in parts]
+        g = nears[0] if len(nears) == 1 else np.concatenate(nears)
+    return _Chunk(h, g, h_siso, los)
+
+
 def generate_realization(
     config: ExperimentConfig,
     point: SweepPoint,
@@ -516,54 +541,112 @@ def generate_realization(
     return _PointChannels(config, sweep_index).place(point).trial(trial)
 
 
+def _units(config: ExperimentConfig) -> list:
+    """The sweep's units of work, each a list of ``(sweep index, point)`` pairs.
+
+    A unit is a maximal run of consecutive points with equal element count,
+    field regime and transmit power whose trials together fit one chunk of
+    ``_chunk_trials``; a point with more trials than a chunk is a unit of
+    its own. One chunk then holds every trial of a unit of several points.
+    Units depend on the config alone.
+    """
+    carrier = CarrierConfig(config.f_c_ghz)
+    units, last = [], None
+    for index, point in enumerate(config.sweep_points()):
+        regime = None if point.n_elements == 0 else _panel_and_regime(config, point, carrier)[1]
+        key = (point.n_elements, regime, point.p_t_dbm)
+        size = _chunk_trials(config.environment, point.n_elements, regime)
+        if key == last and (len(units[-1]) + 1) * config.trials <= size:
+            units[-1].append((index, point))
+        else:
+            units.append([(index, point)])
+        last = key
+    return units
+
+
+def _stats(config: ExperimentConfig, placed: list) -> list:
+    """Monte Carlo statistics of the placed points of one unit, in unit order.
+
+    The trials run in chunks of ``chunk_trials``, with the same trials of
+    every point in one chunk: a unit of several points fits one chunk, a
+    point alone takes as many as its trials need. Raises what a chunk raises.
+    """
+    trials, count = config.trials, len(placed)
+    budget = LinkBudget.from_dbm(placed[0].point.p_t_dbm, config.n_0_dbm)
+    rates = np.empty((count, trials))
+    snrs = np.empty((count, trials))
+    los_h = np.zeros(count, dtype=int)
+    los_siso = np.zeros(count, dtype=int)
+    step = placed[0].chunk_trials
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        chunk = _chunk([(channels, range(start, stop)) for channels in placed])
+        result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
+        rates[:, start:stop] = result.rate_bps_hz.reshape(count, -1)
+        snrs[:, start:stop] = result.snr_linear.reshape(count, -1)
+        if chunk.los["tx_ris"] is not None:
+            los_h += chunk.los["tx_ris"].reshape(count, -1).sum(axis=1)
+        los_siso += chunk.los["tx_rx"].reshape(count, -1).sum(axis=1)
+    rows = []
+    for k, channels in enumerate(placed):
+        point = channels.point
+        mean_snr = float(np.mean(snrs[k]))
+        rows.append(
+            SweepResult(
+                index=channels.sweep_index,
+                point=point,
+                mean_rate_bps_hz=float(np.mean(rates[k])),
+                std_rate=float(np.std(rates[k], ddof=1)) if trials > 1 else 0.0,
+                mean_snr_db=10.0 * math.log10(mean_snr) if mean_snr > 0 else float("-inf"),
+                los_fraction_txris=int(los_h[k]) / trials if point.n_elements > 0 else float("nan"),
+                los_fraction_txrx=int(los_siso[k]) / trials,
+                regime=channels.regime_name,
+                trials=trials,
+                seed=config.master_seed,
+            )
+        )
+    return rows
+
+
 def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) -> SweepResult:
-    """Monte Carlo statistics of one sweep point, evaluated in chunks of trials.
+    """Monte Carlo statistics of one sweep point, a unit of its own.
 
     Any exception from the point becomes its error row, so the rest of the
     sweep completes: a ``ValueError`` (bad geometry) keeps its message, any
     other exception is written as ``"<Type>: <message>"``.
     """
-    budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
     channels = _PointChannels(config, index)
-    trials = config.trials
-
-    rates = np.empty(trials)
-    snrs = np.empty(trials)
-    los_h = 0
-    los_siso = 0
-
     try:
-        channels.place(point)
-        for start in range(0, trials, channels.chunk_trials):
-            stop = min(start + channels.chunk_trials, trials)
-            chunk = channels.chunk(range(start, stop))
-            result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
-            rates[start:stop] = result.rate_bps_hz
-            snrs[start:stop] = result.snr_linear
-            if chunk.los["tx_ris"] is not None:
-                los_h += int(chunk.los["tx_ris"].sum())
-            los_siso += int(chunk.los["tx_rx"].sum())
+        return _stats(config, [channels.place(point)])[0]
     except Exception as exc:
         nan = float("nan")
         error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
         return SweepResult(
-            index, point, nan, nan, nan, nan, nan, channels.regime_name, trials,
+            index, point, nan, nan, nan, nan, nan, channels.regime_name, config.trials,
             config.master_seed, error=error,
         )
 
-    mean_snr = float(np.mean(snrs))
-    return SweepResult(
-        index=index,
-        point=point,
-        mean_rate_bps_hz=float(np.mean(rates)),
-        std_rate=float(np.std(rates, ddof=1)) if trials > 1 else 0.0,
-        mean_snr_db=10.0 * math.log10(mean_snr) if mean_snr > 0 else float("-inf"),
-        los_fraction_txris=los_h / trials if point.n_elements > 0 else float("nan"),
-        los_fraction_txrx=los_siso / trials,
-        regime=channels.regime_name,
-        trials=trials,
-        seed=config.master_seed,
-    )
+
+def _run_unit(config: ExperimentConfig, unit: list) -> list:
+    """Rows of one unit of ``_units``.
+
+    A point alone runs through ``_run_sweep_point``, whose row carries any
+    error of the point. A unit of several points raises what its chunk
+    raises; ``_unit_rows`` and ``run_experiment`` then rerun it point by point.
+    """
+    if len(unit) == 1:
+        return [_run_sweep_point(config, *unit[0])]
+    return _stats(config, [_PointChannels(config, i).place(p) for i, p in unit])
+
+
+def _unit_rows(config: ExperimentConfig, unit: list) -> list:
+    """``_run_unit`` in a pooled process, rerunning a failed unit point by point."""
+    try:
+        return _run_unit(config, unit)
+    except Exception:
+        if len(unit) == 1:
+            raise
+    return [row for pair in unit for row in _run_unit(config, [pair])]
 
 
 # (get, set) thread-count entry points: numpy's bundled OpenBLAS, then a plain one.
@@ -610,7 +693,7 @@ def _set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
-# Projected serial seconds of a sweep's remaining points above which they go
+# Projected serial seconds of a sweep's remaining units above which they go
 # to the process pool. Timed on fig4 with two workers on a 2-core machine
 # where two busy processes had ~1.25x the throughput of one (BENCH_8.json,
 # "pool_cutoff"): a pool started after the first point cost time with up to
@@ -620,10 +703,10 @@ _POOL_MIN_SECONDS = 0.5
 
 
 def _pool_pays(elapsed_s: float, done: int, left: int) -> bool:
-    """Whether ``left`` points, at the mean time of the ``done`` points run in
+    """Whether ``left`` units, at the mean time of the ``done`` units run in
     ``elapsed_s``, would take longer than ``_POOL_MIN_SECONDS``.
 
-    False until a point is done: there is nothing yet to project from.
+    False until a unit is done: there is nothing yet to project from.
     """
     return done > 0 and elapsed_s / done * left > _POOL_MIN_SECONDS
 
@@ -639,36 +722,53 @@ def _usable_cores() -> int:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     """Run the full sweep.
 
-    Sweep points are independent units of work. They run in this process in
-    index order; with ``workers`` > 1, the remaining points go to a process
-    pool once their projected serial time (the mean time of the points done
-    so far times the points left) exceeds ``_POOL_MIN_SECONDS``. A small
-    sweep therefore never starts a pool, and a long one starts it after its
-    first point. The pool holds ``min(workers, usable cores, points left)``
-    processes; a pool of one is never started. Rows are kept in sweep-index
-    order and every point draws from its own RNG streams, so the output is
-    identical for any worker count. The process pool is the only
-    parallelism: every point runs with one BLAS thread, since the matrix
+    The sweep runs in units (``_units``): a run of consecutive points with
+    equal element count, regime and transmit power whose trials fit one
+    chunk shares that chunk, and a point with more trials is a unit alone.
+    In a unit's chunk the Tx-RIS and far-field RIS-Rx trials of every point
+    go through one mapping pass per LOS state. A unit of several points that
+    raises is rerun point by point, so only a failing point gets an error
+    row.
+
+    Units run in this process in index order; with ``workers`` > 1, the
+    remaining units go to a process pool once their projected serial time
+    (the mean time of the units done so far times the units left) exceeds
+    ``_POOL_MIN_SECONDS``. A small sweep therefore never starts a pool, and
+    a long one starts it after its first unit. The pool holds ``min(workers,
+    usable cores, units left)`` processes; a pool of one is never started.
+    Units depend on the config alone, rows are kept in sweep-index order
+    and every (point, trial) draws from its own RNG streams, so the output
+    is identical for any worker count. The process pool is the only
+    parallelism: every unit runs with one BLAS thread, since the matrix
     products of one trial are too small to gain from more, and the caller's
     thread count is restored afterwards.
     """
-    points = config.sweep_points()
+    units = deque(_units(config))
     workers = min(workers, _usable_cores())
     rows = []
     previous = _set_blas_threads(1)
     try:
         start = time.perf_counter()
-        for index, point in enumerate(points):
-            left = len(points) - index
-            pool_size = min(workers, left)
-            if pool_size > 1 and _pool_pays(time.perf_counter() - start, index, left):
+        done = 0
+        while units:
+            pool_size = min(workers, len(units))
+            if pool_size > 1 and _pool_pays(time.perf_counter() - start, done, len(units)):
                 with ProcessPoolExecutor(
                     max_workers=pool_size, initializer=_set_blas_threads, initargs=(1,)
                 ) as pool:
-                    rest = range(index, len(points))
-                    rows += pool.map(_run_sweep_point, repeat(config), rest, points[index:])
+                    for unit_rows in pool.map(_unit_rows, repeat(config), units):
+                        rows += unit_rows
                 break
-            rows.append(_run_sweep_point(config, index, point))
+            unit = units.popleft()
+            try:
+                rows += _run_unit(config, unit)
+            except Exception:
+                if len(unit) == 1:
+                    raise
+                # Rerun its points as units of one: only a failing point gets an error row.
+                units.extendleft([pair] for pair in reversed(unit))
+                continue
+            done += 1
     finally:
         if previous is not None:
             _set_blas_threads(previous)

@@ -155,7 +155,10 @@ def _angle_constants() -> dict:
 def scenario_params_from_dict(raw: dict) -> ScenarioParams:
     """Build ScenarioParams from the JSON data-file schema."""
     env = Environment(raw["environment"])
-    los = raw["los_state"].upper() == "LOS"
+    state = raw["los_state"]
+    if state not in ("LOS", "NLOS"):
+        raise ValueError(f"los_state must be 'LOS' or 'NLOS', got {state!r}")
+    los = state == "LOS"
     order = raw.get("lsp_order", list(LSP_ORDER))
     if tuple(order) != LSP_ORDER:
         raise ValueError(f"lsp_order must be {list(LSP_ORDER)}")

@@ -170,7 +170,8 @@ def ray_angles_from(
     env: Environment,
     powers: np.ndarray,
     lsps: LargeScaleParams,
-    los_dir: SphericalAngles,
+    los_zenith_deg,
+    los_azimuth_deg,
     los: bool,
     scenario: ScenarioParams,
     az_sign_bits: np.ndarray,
@@ -184,10 +185,11 @@ def ray_angles_from(
     Cluster centers come from the inverse mapping of normalized cluster
     powers (wrapped Gaussian azimuth for UMi, Laplacian azimuth for InH,
     Laplacian zenith everywhere), with a sign per sign bit, Gaussian jitter
-    and LOS re-centering. Ray angles add the fixed offset table scaled by the
-    cluster-wise spread; rows 2i and 2i+1 of ``order`` permute cluster i's
-    azimuth and zenith offsets. Azimuth is wrapped into (-180, 180], zenith
-    reflected into [0, 180].
+    and LOS re-centering on the LOS zenith and azimuth (scalars, or (T, 1)
+    arrays that give each row of a chunk its own direction). Ray angles add
+    the fixed offset table scaled by the cluster-wise spread; rows 2i and
+    2i+1 of ``order`` permute cluster i's azimuth and zenith offsets. Azimuth
+    is wrapped into (-180, 180], zenith reflected into [0, 180].
     """
     powers = np.asarray(powers, dtype=float)
     s = scenario.rays_per_cluster
@@ -207,7 +209,7 @@ def ray_angles_from(
         powers,
         lsps.asa_deg,
         c_phi,
-        los_dir.azimuth_deg,
+        los_azimuth_deg,
         los,
         gaussian_mapping=(env is Environment.UMI),
         sign_bits=az_sign_bits,
@@ -217,7 +219,7 @@ def ray_angles_from(
         powers,
         lsps.zsa_deg,
         c_theta,
-        los_dir.zenith_deg,
+        los_zenith_deg,
         los,
         gaussian_mapping=False,
         sign_bits=zen_sign_bits,
@@ -250,7 +252,10 @@ def draw_ray_angles(
     azimuth = rng.integers(0, 2, size=c), rng.normal(0.0, 1.0, size=c)
     zenith = rng.integers(0, 2, size=c), rng.normal(0.0, 1.0, size=c)
     order = rng.permuted(_offset_rows(c, scenario.rays_per_cluster), axis=1)
-    return ray_angles_from(env, powers, lsps, los_dir, los, scenario, *azimuth, *zenith, order)
+    return ray_angles_from(
+        env, powers, lsps, los_dir.zenith_deg, los_dir.azimuth_deg, los, scenario,
+        *azimuth, *zenith, order,
+    )
 
 
 def build_cluster_set(

@@ -494,7 +494,7 @@ class TestFastPathMatchesReference:
             overrides,
         )
         seeds = range(40)
-        _, values = link.generate([link.draw(np.random.default_rng(s)) for s in seeds])
+        _, values = link.generate([(link, link.draw(np.random.default_rng(s))) for s in seeds])
         shadowed = []
         for i, seed in enumerate(seeds):
             ref_h, ref_state, ref_clusters = reference_paths.tx_ris_channel(
@@ -565,6 +565,133 @@ class TestFastPathMatchesReference:
             assert (los_h[t], los_siso[t]) == (ref_los_h, ref_los_siso)
 
 
+def fig5a_row(trials, xs=None):
+    """fig5a at the given trials, on the first y row (on ``xs`` when given)."""
+    preset = figure_presets()["fig5a"]
+    return replace(preset, trials=trials, ris_x_sweep=xs or preset.ris_x_sweep, ris_y_sweep=(52.0,))
+
+
+class TestUnits:
+    """Units: consecutive points that share one chunk."""
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            # Five trials fit a chunk at N=1024 in the far field.
+            (replace(figure_presets()["fig5a"], trials=2), [2] * 165),
+            (replace(figure_presets()["fig5a"], trials=3), [1] * 330),
+            (replace(figure_presets()["fig5b"], trials=1), [10] * 3),
+            # Every point differs in N, or is the no-RIS point at another power.
+            (replace(figure_presets()["fig4"], trials=1), [1] * 6),
+            # The regime switches from near to far field between y=50 and y=52.
+            (small_config(n_elements=(64,), ris_y_sweep=(49.0, 50.0, 52.0, 53.0),
+                          regime_override=None, trials=4), [2, 2]),
+        ],
+        ids=["fig5a-2", "fig5a-3", "fig5b-1", "fig4-1", "regime-switch"],
+    )
+    def test_units_join_runs_of_one_size_regime_and_power(self, config, sizes):
+        units = experiment._units(config)
+        assert [len(unit) for unit in units] == sizes
+        points = config.sweep_points()
+        assert [pair for unit in units for pair in unit] == list(enumerate(points))
+        carrier = CarrierConfig(config.f_c_ghz)
+        for unit in units:
+            keys = set()
+            for _, point in unit:
+                regime = None
+                if point.n_elements:
+                    regime = experiment._panel_and_regime(config, point, carrier)[1]
+                keys.add((point.n_elements, regime, point.p_t_dbm))
+            assert len(keys) == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Far field: both panel links of every point in one pass.
+            fig5a_row(2),
+            # Near field: a different g for every point.
+            replace(figure_presets()["fig3a"], trials=1, n_elements=(64,)),
+            replace(figure_presets()["fig5b"], trials=1),
+        ],
+        ids=["fig5a-2", "fig3a-1", "fig5b-1"],
+    )
+    def test_unit_chunk_rows_equal_each_points_trials_bit_for_bit(self, config):
+        # fig3a's one unit has two trials per link, which may share a LOS state.
+        must_mix = config.name != "fig3a"
+        saw_mixed = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for unit in experiment._units(config)[:3]:
+                assert len(unit) > 1
+                placed = [_PointChannels(config, i).place(p) for i, p in unit]
+                trials = range(config.trials)
+                chunk = experiment._chunk([(channels, trials) for channels in placed])
+                states = {kind: los for kind, los in chunk.los.items() if los is not None}
+                saw_mixed |= any(0 < los.sum() < los.size for los in states.values())
+                assert chunk.h.shape[0] == len(unit) * config.trials
+                rows = ((channels, t) for channels in placed for t in trials)
+                for row, (channels, t) in enumerate(rows):
+                    real = channels.trial(t)
+                    np.testing.assert_array_equal(chunk.h[row], real.h)
+                    np.testing.assert_array_equal(chunk.g[row], real.g)
+                    np.testing.assert_array_equal(chunk.h_siso[row], real.h_siso)
+                    for kind, los in states.items():
+                        assert los[row] == real.metadata[kind].state.los
+        assert saw_mixed or not must_mix
+
+    @pytest.mark.parametrize("preset, trials", [("fig5a", 2), ("fig3a", 1), ("fig4", 1)])
+    def test_unit_rows_equal_points_run_alone(self, preset, trials):
+        config = replace(figure_presets()[preset], trials=trials)
+        if preset == "fig5a":
+            config = fig5a_row(trials, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stats = run_experiment(config)
+            alone = [_run_sweep_point(config, i, p) for i, p in enumerate(config.sweep_points())]
+        assert [repr(row) for row in stats.rows] == [repr(row) for row in alone]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_units_do_not_depend_on_workers(self, monkeypatch, inline_pool, workers):
+        ran = []
+
+        def recorded(config, unit):
+            ran.append([index for index, _ in unit])
+            return _unchecked_run_unit(config, unit)
+
+        monkeypatch.setattr(experiment, "_run_unit", recorded)
+        config = fig5a_row(2, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
+        run_experiment(config, workers=workers)
+        assert inline_pool == ([2] if workers == 2 else [])
+        assert ran == [[0, 1], [2, 3], [4]]
+
+
+class TestUnitFailureScope:
+    """A unit of several points that raises is rerun point by point."""
+
+    @staticmethod
+    def config():
+        # Units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
+        return fig5a_row(2, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
+
+    def check(self, stats, expected):
+        assert [row.index for row in stats.rows] == list(range(6))
+        assert stats.rows[3].error == "RuntimeError: trial failed"
+        assert math.isnan(stats.rows[3].mean_rate_bps_hz)
+        for i in (0, 1, 2, 4, 5):
+            assert repr(stats.rows[i]) == repr(expected.rows[i])
+
+    def test_only_the_failing_point_of_a_unit_gets_an_error_row(self, monkeypatch):
+        expected = run_experiment(self.config())
+        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_3)
+        self.check(run_experiment(self.config(), workers=1), expected)
+
+    def test_a_pooled_unit_is_rerun_point_by_point(self, monkeypatch, forced_pool):
+        expected = run_experiment(self.config())
+        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_3)
+        self.check(run_experiment(self.config(), workers=2), expected)
+        assert forced_pool == [2]
+
+
 class TestChunkWorkingSet:
     @staticmethod
     def place(preset, n_elements, trials=64):
@@ -588,19 +715,35 @@ class TestChunkWorkingSet:
         np.testing.assert_array_equal(one_per_tile.g, tiled.g)
 
     @pytest.mark.parametrize(
-        "preset, n_elements",
-        # InH and UMi far field (two panel links) at N=64, UMi near and far field at N=4096.
-        [("fig3a", 64), ("fig5a", 64), ("fig4", 4096), ("fig5a", 4096)],
+        "preset, n_elements, points",
+        [
+            # InH and UMi far field (two panel links) at N=64, UMi near and far field at N=4096.
+            ("fig3a", 64, 1), ("fig5a", 64, 1), ("fig4", 4096, 1), ("fig5a", 4096, 1),
+            # Units at N=1024: one trial of five fig5a points, ten panel rows in
+            # one pass; one trial of ten fig5b points, each with its own near-field g.
+            ("fig5a", 1024, 5), ("fig5b", 1024, 10),
+        ],
     )
-    def test_chunk_peak_memory_within_twice_the_budget(self, preset, n_elements):
-        channels, point = self.place(preset, n_elements)
-        budget = LinkBudget.from_dbm(point.p_t_dbm, channels.config.n_0_dbm)
-        size = channels.chunk_trials
-        channels.chunk(range(size))  # Fill lazy caches before measuring.
+    def test_chunk_peak_memory_within_twice_the_budget(self, preset, n_elements, points):
+        config = replace(figure_presets()[preset], n_elements=(n_elements,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            placed = [
+                _PointChannels(config, i).place(point)
+                for i, point in enumerate(config.sweep_points()[:points])
+            ]
+        budget = LinkBudget.from_dbm(placed[0].point.p_t_dbm, config.n_0_dbm)
+        size = placed[0].chunk_trials // points
+        assert size >= 1
+
+        def chunk(first):
+            return experiment._chunk([(c, range(first, first + size)) for c in placed])
+
+        chunk(0)  # Fill lazy caches before measuring.
         tracemalloc.start()
         try:
-            chunk = channels.chunk(range(size, 2 * size))
-            evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
+            result = chunk(size)
+            evaluate_link(result.h, result.g, result.h_siso, budget)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -612,6 +755,12 @@ _unchecked_trial_rngs = experiment._trial_rngs
 
 def trial_rngs_failing_at_point_1(master_seed, sweep_index, trial):
     if sweep_index == 1 and trial == 2:
+        raise RuntimeError("trial failed")
+    return _unchecked_trial_rngs(master_seed, sweep_index, trial)
+
+
+def trial_rngs_failing_at_point_3(master_seed, sweep_index, trial):
+    if sweep_index == 3 and trial == 1:
         raise RuntimeError("trial failed")
     return _unchecked_trial_rngs(master_seed, sweep_index, trial)
 
@@ -716,7 +865,9 @@ class TestPoolChoice:
     )
     def test_pool_size_is_capped(self, monkeypatch, inline_pool, workers, cores, points, sizes):
         monkeypatch.setattr(experiment, "_usable_cores", lambda: cores)
-        config = small_config(ris_z_sweep=tuple(2.0 + 0.1 * i for i in range(points)), trials=1)
+        # At 20 trials no two points fit one chunk, so every point is a unit.
+        z_sweep = tuple(2.0 + 0.1 * i for i in range(points))
+        config = small_config(ris_z_sweep=z_sweep, trials=20)
         stats = run_experiment(config, workers=workers)
         assert inline_pool == sizes
         assert [row.index for row in stats.rows] == list(range(points))
@@ -731,18 +882,18 @@ class TestPoolChoice:
         assert experiment._usable_cores() == 1
 
 
-_unchecked_run_sweep_point = experiment._run_sweep_point
+_unchecked_run_unit = experiment._run_unit
 
 
-def sweep_point_on_one_blas_thread(config, index, point):
-    """``_run_sweep_point`` that fails unless OpenBLAS runs one thread."""
+def unit_on_one_blas_thread(config, unit):
+    """``_run_unit`` that fails unless OpenBLAS runs one thread."""
     get, _ = experiment._openblas_thread_funcs()
     if get() != 1:
-        raise AssertionError(f"sweep point ran with {get()} BLAS threads")
-    return _unchecked_run_sweep_point(config, index, point)
+        raise AssertionError(f"sweep unit ran with {get()} BLAS threads")
+    return _unchecked_run_unit(config, unit)
 
 
-def failing_sweep_point(config, index, point):
+def failing_unit(config, unit):
     raise RuntimeError("sweep point failed")
 
 
@@ -761,7 +912,7 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_thread_per_sweep_point_then_restored(self, monkeypatch, two_threads, workers):
-        monkeypatch.setattr(experiment, "_run_sweep_point", sweep_point_on_one_blas_thread)
+        monkeypatch.setattr(experiment, "_run_unit", unit_on_one_blas_thread)
         stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0), trials=2), workers=workers)
         assert [row.error for row in stats.rows] == [None, None]
         assert two_threads() == 2
@@ -769,15 +920,16 @@ class TestBlasThreads:
     def test_one_thread_in_each_pooled_point_then_restored(
         self, monkeypatch, two_threads, forced_pool
     ):
-        monkeypatch.setattr(experiment, "_run_sweep_point", sweep_point_on_one_blas_thread)
-        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=2), workers=2)
+        monkeypatch.setattr(experiment, "_run_unit", unit_on_one_blas_thread)
+        # At 20 trials every point is a unit, so the last two go to the pool.
+        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=20), workers=2)
         assert forced_pool == [2]
         assert [row.error for row in stats.rows] == [None, None, None]
         assert two_threads() == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_restored_when_a_sweep_point_raises(self, monkeypatch, two_threads, workers):
-        monkeypatch.setattr(experiment, "_run_sweep_point", failing_sweep_point)
+        monkeypatch.setattr(experiment, "_run_unit", failing_unit)
         with pytest.raises(RuntimeError, match="sweep point failed"):
             run_experiment(small_config(ris_z_sweep=(2.0, 3.0)), workers=workers)
         assert two_threads() == 2

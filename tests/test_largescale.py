@@ -169,6 +169,25 @@ class TestScenarioData:
         params = scenario_params_from_dict(raw)
         assert (params.c_phi_nlos, params.c_theta_nlos) == (1.2, 0.9)
 
+    @pytest.mark.parametrize("state", ["LSO", "los", "", None])
+    def test_los_state_other_than_los_or_nlos_is_rejected(self, state):
+        raw = {
+            "environment": "UMi",
+            "los_state": state,
+            "cluster_count": 12,
+            "rays_per_cluster": 20,
+            "delay_scaling": 3.0,
+            "per_cluster_shadowing_db": 3.0,
+            "c_asa_deg": 17.0,
+            "c_zsa_deg": 7.0,
+            "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
+            "cross_correlation": np.eye(7).tolist(),
+        }
+        with pytest.raises(ValueError, match="los_state must be 'LOS' or 'NLOS'"):
+            scenario_params_from_dict(raw)
+        for state, los in (("LOS", True), ("NLOS", False)):
+            assert scenario_params_from_dict({**raw, "los_state": state}).los is los
+
     def test_user_file_long_keys(self, tmp_path):
         import json
 

@@ -366,13 +366,14 @@ class TestRayAnglesTrialAxis:
         order = np.random.default_rng(seed).permuted(rows, axis=2)
         los_dir = SphericalAngles(80.0, 70.0)
         zenith, azimuth = ray_angles_from(
-            env, powers, lsps, los_dir, los, scenario, *centers, order
+            env, powers, lsps, los_dir.zenith_deg, los_dir.azimuth_deg, los, scenario,
+            *centers, order,
         )
         assert zenith.shape == azimuth.shape == (trials, c, s)
         for t in range(trials):
             row = make_lsps(asa=lsps.asa_deg[t], zsa=lsps.zsa_deg[t], k_db=lsps.k_factor_db[t])
             one = ray_angles_from(
-                env, powers[t], row, los_dir, los, scenario,
+                env, powers[t], row, los_dir.zenith_deg, los_dir.azimuth_deg, los, scenario,
                 *(draw[t] for draw in centers), order[t],
             )
             # The LOS scaling's scalar and array powers of the K-factor may
