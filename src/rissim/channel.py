@@ -72,7 +72,7 @@ from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angle
 _CHUNK_BYTES = 1 << 20
 
 
-def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
+def _chunk_trials(env: Environment, n_elements: int, regime, several_points=False) -> int:
     """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
 
     Counts what the stages hold per trial, as measured with tracemalloc: for
@@ -83,9 +83,11 @@ def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     grid and channel vector, and link evaluation's float temporaries). A
     point has two panel links in the far field, one in the near field and
     none without elements; both panel links of a trial are mapped in one
-    pass, so all of this is held at once. The steering block is left out:
-    assembly builds it in tiles within the same budget. The estimate depends
-    on the point alone, never on ``workers``.
+    pass, so all of this is held at once. A chunk of ``several_points``
+    near-field points also holds each row's copy of its point's ``g``: 16
+    bytes per element (one point's chunk broadcasts its ``g`` instead). The
+    steering block is left out: assembly builds it in tiles within the same
+    budget. The estimate depends on the point alone, never on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
@@ -93,6 +95,8 @@ def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     )
     panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
     per_trial = 8 * 4 * rays + panel_links * (8 * 8 * rays + 64 * n_elements)
+    if several_points and regime is FieldRegime.NEAR_FIELD:
+        per_trial += 16 * n_elements
     return max(1, _CHUNK_BYTES // per_trial)
 
 

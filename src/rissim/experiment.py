@@ -415,28 +415,18 @@ class _Chunk:
     los: dict
 
 
-def _panel_and_regime(config: ExperimentConfig, point: SweepPoint, carrier: CarrierConfig):
-    """The point's panel and its RIS-Rx field regime."""
-    panel = PanelGeometry.centered(
-        Point3(point.ris_x, point.ris_y, point.ris_z),
-        point.n_elements,
-        config.spacing(),
-        config.boresight,
-    )
-    return panel, select_field_regime(panel, config.rx, carrier, config.regime_override)
-
-
 class _PointChannels:
     """Per-point constants of one sweep point.
 
-    ``place`` builds the panel, selects the RIS-Rx regime, computes the
-    deterministic near-field ``g`` and every stochastic link's constants
-    once. ``chunk`` draws each trial of a chunk from that trial's own RNG
-    streams, then maps the draws of all of them at once (``_chunk`` for this
-    point alone); ``trial`` maps one trial alone and adds each link's
-    metadata. Without elements (the no-RIS baseline) ``h`` and ``g`` are
-    empty. ``place`` is apart from the constructor so that a point whose
-    geometry fails still reports the regime selected before the failure.
+    ``locate`` builds the panel, selects the RIS-Rx regime and sizes the
+    point's chunks; ``connect`` then computes the deterministic near-field
+    ``g`` and every stochastic link's constants once (``place`` does both).
+    ``chunk`` draws each trial of a chunk from that trial's own RNG streams,
+    then maps the draws of all of them at once (``_chunk`` for this point
+    alone); ``trial`` maps one trial alone and adds each link's metadata.
+    Without elements (the no-RIS baseline) ``h`` and ``g`` are empty.
+    ``place`` is apart from the constructor so that a point whose geometry
+    fails still reports the regime selected before the failure.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int):
@@ -450,18 +440,37 @@ class _PointChannels:
         self.near = None
         self.links = {}
         self.chunk_trials = 1
+        self.unit_trials = 1
 
     @property
     def regime_name(self) -> str:
         return self.regime.value if self.panel is not None else "none"
 
-    def place(self, point: SweepPoint) -> "_PointChannels":
+    def locate(self, point: SweepPoint) -> "_PointChannels":
+        """The panel and regime of ``point``, and its chunk sizes alone and in a unit."""
         config = self.config
-        env, carrier = config.environment, self.carrier
         self.point = point
+        if point.n_elements > 0:
+            self.panel = PanelGeometry.centered(
+                Point3(point.ris_x, point.ris_y, point.ris_z),
+                point.n_elements,
+                config.spacing(),
+                config.boresight,
+            )
+            self.regime = select_field_regime(
+                self.panel, config.rx, self.carrier, config.regime_override
+            )
+        env, n_elements = config.environment, point.n_elements
+        self.chunk_trials = _chunk_trials(env, n_elements, self.regime)
+        self.unit_trials = _chunk_trials(env, n_elements, self.regime, several_points=True)
+        return self
+
+    def connect(self) -> "_PointChannels":
+        """The near-field ``g`` and the link constants of the located point."""
+        config, point = self.config, self.point
+        env, carrier = config.environment, self.carrier
         links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
-            self.panel, self.regime = _panel_and_regime(config, point, carrier)
             if self.regime is FieldRegime.NEAR_FIELD:
                 self.near = ris_rx_nearfield(self.panel, config.rx, carrier)
             panel_args = (self.panel, carrier, self.pattern, config.steering_convention)
@@ -470,8 +479,10 @@ class _PointChannels:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, *panel_args)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
-        self.chunk_trials = _chunk_trials(env, point.n_elements, self.regime)
         return self
+
+    def place(self, point: SweepPoint) -> "_PointChannels":
+        return self.locate(point).connect()
 
     def chunk(self, trials) -> _Chunk:
         """Channels of the given trials: a draw loop, then one mapping pass."""
@@ -542,24 +553,22 @@ def generate_realization(
 
 
 def _units(config: ExperimentConfig) -> list:
-    """The sweep's units of work, each a list of ``(sweep index, point)`` pairs.
+    """The sweep's units of work, each a list of located ``_PointChannels``.
 
     A unit is a maximal run of consecutive points with equal element count,
     field regime and transmit power whose trials together fit one chunk of
-    ``_chunk_trials``; a point with more trials than a chunk is a unit of
-    its own. One chunk then holds every trial of a unit of several points.
+    ``unit_trials``; a point with more trials than that is a unit of its
+    own. One chunk then holds every trial of a unit of several points.
     Units depend on the config alone.
     """
-    carrier = CarrierConfig(config.f_c_ghz)
     units, last = [], None
     for index, point in enumerate(config.sweep_points()):
-        regime = None if point.n_elements == 0 else _panel_and_regime(config, point, carrier)[1]
-        key = (point.n_elements, regime, point.p_t_dbm)
-        size = _chunk_trials(config.environment, point.n_elements, regime)
-        if key == last and (len(units[-1]) + 1) * config.trials <= size:
-            units[-1].append((index, point))
+        channels = _PointChannels(config, index).locate(point)
+        key = (point.n_elements, channels.regime_name, point.p_t_dbm)
+        if key == last and (len(units[-1]) + 1) * config.trials <= channels.unit_trials:
+            units[-1].append(channels)
         else:
-            units.append([(index, point)])
+            units.append([channels])
         last = key
     return units
 
@@ -627,26 +636,21 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
         )
 
 
-def _run_unit(config: ExperimentConfig, unit: list) -> list:
+def _run_unit(config: ExperimentConfig, unit: list, rerun: bool = True) -> Optional[list]:
     """Rows of one unit of ``_units``.
 
     A point alone runs through ``_run_sweep_point``, whose row carries any
-    error of the point. A unit of several points raises what its chunk
-    raises; ``_unit_rows`` and ``run_experiment`` then rerun it point by point.
+    error of the point. A unit of several points that raises is rerun point
+    by point, so only a failing point gets an error row; with ``rerun``
+    False the unit's rows are None instead.
     """
-    if len(unit) == 1:
-        return [_run_sweep_point(config, *unit[0])]
-    return _stats(config, [_PointChannels(config, i).place(p) for i, p in unit])
-
-
-def _unit_rows(config: ExperimentConfig, unit: list) -> list:
-    """``_run_unit`` in a pooled process, rerunning a failed unit point by point."""
-    try:
-        return _run_unit(config, unit)
-    except Exception:
-        if len(unit) == 1:
-            raise
-    return [row for pair in unit for row in _run_unit(config, [pair])]
+    if len(unit) > 1:
+        try:
+            return _stats(config, [channels.connect() for channels in unit])
+        except Exception:
+            if not rerun:
+                return None
+    return [_run_sweep_point(config, c.sweep_index, c.point) for c in unit]
 
 
 # (get, set) thread-count entry points: numpy's bundled OpenBLAS, then a plain one.
@@ -756,18 +760,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
                 with ProcessPoolExecutor(
                     max_workers=pool_size, initializer=_set_blas_threads, initargs=(1,)
                 ) as pool:
-                    for unit_rows in pool.map(_unit_rows, repeat(config), units):
+                    for unit_rows in pool.map(_run_unit, repeat(config), units):
                         rows += unit_rows
                 break
             unit = units.popleft()
-            try:
-                rows += _run_unit(config, unit)
-            except Exception:
-                if len(unit) == 1:
-                    raise
-                # Rerun its points as units of one: only a failing point gets an error row.
-                units.extendleft([pair] for pair in reversed(unit))
+            unit_rows = _run_unit(config, unit, rerun=False)
+            if unit_rows is None:
+                # Its points go back as units of one, to run here or in the pool.
+                units.extendleft([channels] for channels in reversed(unit))
                 continue
+            rows += unit_rows
             done += 1
     finally:
         if previous is not None:

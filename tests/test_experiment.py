@@ -580,7 +580,8 @@ class TestUnits:
             # Five trials fit a chunk at N=1024 in the far field.
             (replace(figure_presets()["fig5a"], trials=2), [2] * 165),
             (replace(figure_presets()["fig5a"], trials=3), [1] * 330),
-            (replace(figure_presets()["fig5b"], trials=1), [10] * 3),
+            # A near-field unit also holds a copy of each point's g: eight points at N=1024.
+            (replace(figure_presets()["fig5b"], trials=1), [8, 8, 8, 6]),
             # Every point differs in N, or is the no-RIS point at another power.
             (replace(figure_presets()["fig4"], trials=1), [1] * 6),
             # The regime switches from near to far field between y=50 and y=52.
@@ -592,17 +593,12 @@ class TestUnits:
     def test_units_join_runs_of_one_size_regime_and_power(self, config, sizes):
         units = experiment._units(config)
         assert [len(unit) for unit in units] == sizes
-        points = config.sweep_points()
-        assert [pair for unit in units for pair in unit] == list(enumerate(points))
-        carrier = CarrierConfig(config.f_c_ghz)
+        located = [(c.sweep_index, c.point) for unit in units for c in unit]
+        assert located == list(enumerate(config.sweep_points()))
         for unit in units:
-            keys = set()
-            for _, point in unit:
-                regime = None
-                if point.n_elements:
-                    regime = experiment._panel_and_regime(config, point, carrier)[1]
-                keys.add((point.n_elements, regime, point.p_t_dbm))
+            keys = {(c.point.n_elements, c.regime_name, c.point.p_t_dbm) for c in unit}
             assert len(keys) == 1
+            assert len(unit) == 1 or len(unit) * config.trials <= unit[0].unit_trials
 
     @pytest.mark.parametrize(
         "config",
@@ -623,7 +619,7 @@ class TestUnits:
             warnings.simplefilter("ignore")
             for unit in experiment._units(config)[:3]:
                 assert len(unit) > 1
-                placed = [_PointChannels(config, i).place(p) for i, p in unit]
+                placed = [channels.connect() for channels in unit]
                 trials = range(config.trials)
                 chunk = experiment._chunk([(channels, trials) for channels in placed])
                 states = {kind: los for kind, los in chunk.los.items() if los is not None}
@@ -654,9 +650,9 @@ class TestUnits:
     def test_units_do_not_depend_on_workers(self, monkeypatch, inline_pool, workers):
         ran = []
 
-        def recorded(config, unit):
-            ran.append([index for index, _ in unit])
-            return _unchecked_run_unit(config, unit)
+        def recorded(config, unit, **kwargs):
+            ran.append([channels.sweep_index for channels in unit])
+            return _unchecked_run_unit(config, unit, **kwargs)
 
         monkeypatch.setattr(experiment, "_run_unit", recorded)
         config = fig5a_row(2, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
@@ -715,29 +711,32 @@ class TestChunkWorkingSet:
         np.testing.assert_array_equal(one_per_tile.g, tiled.g)
 
     @pytest.mark.parametrize(
-        "preset, n_elements, points",
+        "preset, n_elements, trials",
         [
             # InH and UMi far field (two panel links) at N=64, UMi near and far field at N=4096.
-            ("fig3a", 64, 1), ("fig5a", 64, 1), ("fig4", 4096, 1), ("fig5a", 4096, 1),
-            # Units at N=1024: one trial of five fig5a points, ten panel rows in
-            # one pass; one trial of ten fig5b points, each with its own near-field g.
-            ("fig5a", 1024, 5), ("fig5b", 1024, 10),
+            ("fig3a", 64, 64), ("fig5a", 64, 64), ("fig4", 4096, 64), ("fig5a", 4096, 64),
+            # Units at one trial per point: five fig5a points at N=1024, ten panel
+            # rows in one pass; fig5b points at N=1024 and 4096, each row with a
+            # copy of its own point's near-field g.
+            ("fig5a", 1024, 1), ("fig5b", 1024, 1), ("fig5b", 4096, 1),
+        ],
+        ids=[
+            "fig3a-64", "fig5a-64", "fig4-4096", "fig5a-4096",
+            "fig5a-1024-unit", "fig5b-1024-unit", "fig5b-4096-unit",
         ],
     )
-    def test_chunk_peak_memory_within_twice_the_budget(self, preset, n_elements, points):
-        config = replace(figure_presets()[preset], n_elements=(n_elements,))
+    def test_chunk_peak_memory_within_twice_the_budget(self, preset, n_elements, trials):
+        config = replace(figure_presets()[preset], n_elements=(n_elements,), trials=trials)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            placed = [
-                _PointChannels(config, i).place(point)
-                for i, point in enumerate(config.sweep_points()[:points])
-            ]
-        budget = LinkBudget.from_dbm(placed[0].point.p_t_dbm, config.n_0_dbm)
-        size = placed[0].chunk_trials // points
-        assert size >= 1
+            unit = [channels.connect() for channels in experiment._units(config)[0]]
+        # The first unit is one point whose trials fill several chunks, or several points.
+        assert (len(unit) > 1) == (trials == 1)
+        budget = LinkBudget.from_dbm(unit[0].point.p_t_dbm, config.n_0_dbm)
+        size = min(trials, unit[0].chunk_trials)
 
         def chunk(first):
-            return experiment._chunk([(c, range(first, first + size)) for c in placed])
+            return experiment._chunk([(c, range(first, first + size)) for c in unit])
 
         chunk(0)  # Fill lazy caches before measuring.
         tracemalloc.start()
@@ -885,15 +884,15 @@ class TestPoolChoice:
 _unchecked_run_unit = experiment._run_unit
 
 
-def unit_on_one_blas_thread(config, unit):
+def unit_on_one_blas_thread(config, unit, **kwargs):
     """``_run_unit`` that fails unless OpenBLAS runs one thread."""
     get, _ = experiment._openblas_thread_funcs()
     if get() != 1:
         raise AssertionError(f"sweep unit ran with {get()} BLAS threads")
-    return _unchecked_run_unit(config, unit)
+    return _unchecked_run_unit(config, unit, **kwargs)
 
 
-def failing_unit(config, unit):
+def failing_unit(config, unit, **kwargs):
     raise RuntimeError("sweep point failed")
 
 
