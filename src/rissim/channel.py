@@ -23,6 +23,7 @@ trial's draws as a set of one row and also returns the trial's metadata.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -224,10 +225,10 @@ class _Link:
     fading, per LOS state.
 
     A mapping pass takes link-trial rows: row i is a trial of its own link.
-    A row's link gives the pass only its ``pl_db`` and LOS direction; the
-    environment, scenario tables, panel side and spacing, pattern,
-    convention and wavelength are the first row's and must be those of
-    every row. The Tx-RIS and far-field RIS-Rx links of the points of one
+    A row's link gives the pass only its ``row_constants``: ``pl_db`` and the
+    LOS direction. The environment, scenario tables, panel side and spacing,
+    pattern, convention and wavelength are the first row's and must be those
+    of every row. The Tx-RIS and far-field RIS-Rx links of the points of one
     sweep unit share them, and so do its direct links.
     """
 
@@ -242,6 +243,15 @@ class _Link:
     pattern: Optional[ElementPattern] = None
     convention: str = "reference"
     wavelength_m: float = 0.0
+
+    @functools.cached_property
+    def row_constants(self) -> dict:
+        """What a row of this link gives a mapping pass, per LOS state: the
+        path loss in dB without shadow fading, then on a panel link the LOS
+        zenith and azimuth in degrees."""
+        direction = self.los_direction
+        angles = () if direction is None else (direction.zenith_deg, direction.azimuth_deg)
+        return {los: (pl_db,) + angles for los, pl_db in self.pl_db.items()}
 
     def draw(self, rng: np.random.Generator) -> tuple[bool, list]:
         """One trial's LOS state and the variates of its stages, in draw order.
@@ -283,7 +293,8 @@ class _Link:
         lsp, delay, shadow, *angles, phase = blocks
         blocks.clear()
         lsps = lsps_from_normals(params, lsp)
-        pl_db = np.array([row.pl_db[los] for row in rows]) + lsps.sf_db
+        constants = np.array([row.row_constants[los] for row in rows])
+        pl_db = constants[:, 0] + lsps.sf_db
         delays = delays_from_uniforms(params.delay_scaling, lsps.ds_s, delay)
         powers = powers_from_normals(
             delays,
@@ -301,9 +312,7 @@ class _Link:
             rays = np.sqrt(powers[..., None] / s) * np.exp(1j * phases)
             value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
             return value, pl_db, lsps, None
-        los_zenith, los_azimuth = np.array(
-            [(row.los_direction.zenith_deg, row.los_direction.azimuth_deg) for row in rows]
-        ).T[:, :, None]
+        los_zenith, los_azimuth = constants.T[1:, :, None]
         zenith, azimuth = ray_angles_from(
             link.env, powers, lsps, los_zenith, los_azimuth, los, params, *angles
         )

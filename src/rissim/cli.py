@@ -10,7 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiment import ExperimentConfig, _trial_rngs, figure_presets, run_experiment
+from .experiment import (
+    ExperimentConfig,
+    _stream_words,
+    _trial_rngs,
+    figure_presets,
+    run_experiment,
+)
 from .geometry import Point3
 from .largescale import Environment, load_scenario_params
 from .channel import nearfield_plate_gain
@@ -198,6 +204,18 @@ def _cmd_validate() -> int:
                 expected = np.random.Generator(np.random.PCG64(key))
                 ok = ok and generator.bit_generator.state == expected.bit_generator.state
     report("trial generators match their SeedSequence keys", ok)
+
+    # A chunk derives the state words of all its rows in one call, rows of
+    # several sweep points and keys of one and two words among them.
+    ok = True
+    indices, trials = (0, 0, 329, 2**32 - 1, 2**32, 7), (0, 1999, 5, 2**32, 2**40, 2**32 - 1)
+    for seed in (0, 2**32, 2**70 + 5):
+        words = _stream_words(seed, indices, trials)
+        for row, (index, trial) in enumerate(zip(indices, trials)):
+            for k in range(3):
+                key = np.random.SeedSequence(seed, spawn_key=(index, trial, k))
+                ok = ok and np.array_equal(words[row, k], key.generate_state(4, np.uint64))
+    report("chunk state words match their SeedSequence keys", ok)
 
     return EXIT_OK if failures == 0 else EXIT_RUNTIME_ERROR
 

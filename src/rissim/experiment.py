@@ -3,7 +3,9 @@
 A sweep enumerates RIS placements (z heights or an x/y grid) and element
 counts. Every (sweep point, trial) pair derives its own RNG streams from the
 master seed by counter-based key derivation, so results are bit-identical
-regardless of execution order or parallelism.
+regardless of execution order or parallelism. The keys are those of numpy's
+``SeedSequence``; a chunk of trials derives the state words of all its rows
+in one vectorised pass with ``SeedSequence``'s arithmetic (``_stream_words``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import time
 from collections import deque
@@ -287,46 +288,62 @@ class RateStats:
         return json.dumps({"preset": self.preset, "rows": rows}, indent=2) + "\n"
 
 
+# The links of a trial in the order of its streams: stream k draws link k.
+_STREAMS = ("tx_ris", "tx_rx", "ris_rx")
+
 # Constants of numpy's ``SeedSequence``: the hash that fills its entropy
 # pool, the mix of two pool words and the hash that reads the pool out.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# The readout's hash constants: word j is xor-ed with entry j, multiplied by entry j + 1.
-_READOUT = tuple(_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32 for j in range(9))
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _words32(value: int) -> list:
-    """A non-negative integer as little-endian 32-bit words; 0 is one word."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seeds and spawn keys must be >= 0, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _schedule(init: int, mult: int, count: int) -> np.ndarray:
+    """Hash constants ``init * mult**j`` mod 2**32 for j < count, read-only uint32."""
+    consts = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(count)], np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
-def _mix_in(pool: tuple, hash_const: int, words) -> tuple:
-    """(pool, hash constant) after mixing entropy words past the pool size.
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hash of 32-bit words: (values ^ xor) * mult, then an xor-shift."""
+    value = (values ^ xor) * mult
+    return value ^ value >> 16
 
-    Every word is hashed once per pool word and mixed into it, as
-    ``SeedSequence`` does with entropy beyond its first four words.
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of hashed words into pool words."""
+    value = _MIX_L * pool - _MIX_R * hashed
+    return value ^ value >> 16
+
+
+# The readout hashes pool word j % 4 into 32-bit state word j against entries
+# j and j + 1, for the eight halves of the four uint64 state words.
+_READOUT = _schedule(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)[:, None, None]
+_READ_FROM = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+# The last word of every spawn key: the stream number k, one per column.
+_STREAM_KEYS = np.arange(len(_STREAMS), dtype=np.uint32)[:, None]
+
+
+def _words32(values) -> tuple:
+    """(words, counts): non-negative integers as little-endian 32-bit words.
+
+    ``words[j]`` holds word j of each value (0 past its last word) and
+    ``counts`` the number of words of each; 0 is one word. ``values`` is
+    anything ``np.asarray`` takes, Python ints past 64 bits included.
     """
-    for word in words:
-        mixed = []
-        for current in pool:
-            next_const = hash_const * _MULT_A & _MASK32
-            value = (word ^ hash_const) * next_const & _MASK32
-            hash_const = next_const
-            value = (_MIX_L * current - _MIX_R * (value ^ value >> 16)) & _MASK32
-            mixed.append(value ^ value >> 16)
-        pool = tuple(mixed)
-    return pool, hash_const
+    rest = np.asarray(values)
+    if (rest < 0).any():
+        raise ValueError(f"seeds and spawn keys must be >= 0, got {rest[rest < 0][0]}")
+    words, counts = [rest & _MASK32], np.ones(rest.shape, dtype=np.intp)
+    rest = rest >> 32
+    while rest.any():
+        counts += rest != 0
+        words.append(rest & _MASK32)
+        rest = rest >> 32
+    return np.array(words, dtype=np.uint32), counts
 
 
 @functools.lru_cache(maxsize=16)
@@ -335,24 +352,70 @@ def _seed_pool(master_seed: int) -> tuple:
     after the seed's own words, before the spawn key's.
 
     The pool is that of ``SeedSequence(master_seed)``, which hashes missing
-    seed words as zeros just as a spawn key's zero padding does. The hash
-    constant has advanced once per pool word for each of the (at least four)
-    seed words.
+    seed words as zeros just as a spawn key's zero padding does, as a
+    read-only (4, 1) uint32 column. The hash constant has advanced once per
+    pool word for each of the (at least four) seed words.
     """
     from numpy.random import SeedSequence
 
-    n_words = max(_POOL_SIZE, len(_words32(master_seed)))
-    pool = tuple(int(word) for word in SeedSequence(master_seed).pool)
+    _, count = _words32([master_seed])
+    n_words = max(_POOL_SIZE, int(count[0]))
+    pool = SeedSequence(master_seed).pool.reshape(_POOL_SIZE, 1)
+    pool.flags.writeable = False
     return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
 
 
-def _state_words(pool: tuple) -> list:
-    """``generate_state(4, uint64)`` of a ``SeedSequence`` with this pool."""
-    out = []
-    for j in range(8):
-        value = (pool[j % _POOL_SIZE] ^ _READOUT[j]) * _READOUT[j + 1] & _MASK32
-        out.append(value ^ value >> 16)
-    return [out[j] | out[j + 1] << 32 for j in range(0, 8, 2)]
+@functools.lru_cache(maxsize=64)
+def _key_schedule(master_seed: int, n_words: int) -> tuple:
+    """(xor, mult, streams): what mixes a spawn key of ``n_words`` words and
+    then the stream number k into ``_seed_pool(master_seed)``.
+
+    Key word p is hashed for pool word d as ``_hash(word, xor[p, d],
+    mult[p, d])``, with xor and mult (n_words, 4, 1). ``streams[d, k]`` is
+    stream number k so hashed in the place after the key's words, (4, 3, 1);
+    it is the same for every key of ``n_words`` words. Read-only arrays.
+    """
+    _, hash_const = _seed_pool(master_seed)
+    consts = _schedule(hash_const, _MULT_A, _POOL_SIZE * (n_words + 1) + 1)
+    xor = consts[:-1].reshape(n_words + 1, _POOL_SIZE, 1)
+    mult = consts[1:].reshape(n_words + 1, _POOL_SIZE, 1)
+    streams = _hash(_STREAM_KEYS, xor[n_words, :, None], mult[n_words, :, None])
+    streams.flags.writeable = False
+    return xor[:n_words], mult[:n_words], streams
+
+
+def _stream_words(master_seed: int, sweep_indices, trials) -> np.ndarray:
+    """The PCG64 state words of every stream of the given (sweep index, trial) rows.
+
+    Returns (rows, 3, 4) uint64: row r, stream k holds
+    ``SeedSequence(master_seed, spawn_key=(sweep_indices[r], trials[r],
+    k)).generate_state(4, np.uint64)``. The words are computed in one
+    vectorised pass with ``SeedSequence``'s 32-bit arithmetic, over the
+    rows, the pool words and the streams at once: every key word of every
+    row is hashed in one step, the hashes are mixed into the pool word by
+    word, then the stream numbers (hashed once per seed and key length,
+    ``_key_schedule``) and the readout. Rows whose sweep index and trial
+    have equal word counts (every row, below 2**32) go through together; a
+    row's words do not depend on the other rows.
+    """
+    pool, _ = _seed_pool(master_seed)
+    words, counts = _words32((sweep_indices, trials))
+    width, _, rows = words.shape
+    out = np.empty((2 * _POOL_SIZE, len(_STREAMS), rows), dtype=np.uint32)
+    shapes = counts[0] * (width + 1) + counts[1]
+    for shape in np.flatnonzero(np.bincount(shapes)):
+        n_index, n_trial = divmod(int(shape), width + 1)
+        group = shapes == shape
+        # A row's key words: its sweep index's, then its trial's.
+        keys = np.concatenate((words[:n_index, 0], words[:n_trial, 1]))[:, None, group]
+        xor, mult, streams = _key_schedule(master_seed, n_index + n_trial)
+        mixed = pool
+        for hashed in _hash(keys, xor, mult):
+            mixed = _mix(mixed, hashed)
+        mixed = _mix(mixed[:, None], streams)
+        out[..., group] = _hash(mixed[_READ_FROM], _READOUT[:-1], _READOUT[1:])
+    # The eight 32-bit words of a stream, viewed as four uint64 as generate_state does.
+    return np.ascontiguousarray(out.transpose(2, 1, 0)).view(np.uint64)
 
 
 @functools.cache
@@ -373,7 +436,7 @@ def _generator_from_words():
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 4 or np.dtype(dtype) != np.uint64:
                 raise ValueError("StateWords holds four uint64 words")
-            return np.array(self.words, dtype=np.uint64)
+            return np.asarray(self.words, dtype=np.uint64)
 
     return lambda words: Generator(PCG64(StateWords(words)))
 
@@ -384,20 +447,11 @@ def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
     Generator k is ``Generator(PCG64(SeedSequence(master_seed,
     spawn_key=(sweep_index, trial, k))))``, the k-th child ``spawn`` would
     make of ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``.
-    Its state words are computed here with ``SeedSequence``'s integer
-    arithmetic: the seed's part of the pool once per seed, the shared
-    (sweep_index, trial) part once per trial.
+    Its state words are the one row of ``_stream_words`` for this trial,
+    the derivation a chunk runs for all of its rows.
     """
-    pool, hash_const = _seed_pool(master_seed)
-    pool, hash_const = _mix_in(pool, hash_const, _words32(sweep_index) + _words32(trial))
     make = _generator_from_words()
-    return tuple(
-        make(_state_words(_mix_in(pool, hash_const, (k,))[0])) for k in range(3)
-    )
-
-
-# The links of a trial in the order of the generators ``_trial_rngs`` returns.
-_STREAMS = ("tx_ris", "tx_rx", "ris_rx")
+    return tuple(make(words) for words in _stream_words(master_seed, [sweep_index], [trial])[0])
 
 
 @dataclass(frozen=True)
@@ -512,18 +566,31 @@ def _chunk(parts: list) -> _Chunk:
 
     ``parts`` holds ``(point channels, trials)`` pairs of points with equal
     element count and regime; the chunk's rows are each part's trials in
-    order. Every trial draws from its own RNG streams. Then the Tx-RIS and
-    far-field RIS-Rx rows of every point go through one mapping pass per LOS
-    state, and the direct rows through another.
+    order. Every trial draws from its own RNG streams, whose state words one
+    ``_stream_words`` call derives for all rows; a generator is made only for
+    a link the point has. Then the Tx-RIS and far-field RIS-Rx rows of every
+    point go through one mapping pass per LOS state, and the direct rows
+    through another.
     """
+    words = _stream_words(
+        parts[0][0].config.master_seed,
+        np.repeat([channels.sweep_index for channels, _ in parts], [len(t) for _, t in parts]),
+        np.concatenate([np.asarray(trials) for _, trials in parts]),
+    )
+    make = _generator_from_words()
     rows = {kind: [] for kind in _STREAMS}
+    first = 0
     for channels, trials in parts:
-        links = channels.links
-        for t in trials:
-            rngs = _trial_rngs(channels.config.master_seed, channels.sweep_index, t)
-            for kind, rng in zip(_STREAMS, rngs):
-                if links[kind] is not None:
-                    rows[kind].append((links[kind], links[kind].draw(rng)))
+        # Only the streams of the point's links are made into generators.
+        drawn = [
+            (k, channels.links[kind], rows[kind])
+            for k, kind in enumerate(_STREAMS)
+            if channels.links[kind] is not None
+        ]
+        for trial_words in words[first : first + len(trials)]:
+            for k, link, out in drawn:
+                out.append((link, link.draw(make(trial_words[k]))))
+        first += len(trials)
     los = dict.fromkeys(_STREAMS)
     los["tx_rx"], h_siso = _Link.generate(rows.pop("tx_rx"))
     n_h = len(rows["tx_ris"])

@@ -21,6 +21,8 @@ LSP_ORDER = ("SF_db", "K_db", "lgDS", "lgASD", "lgASA", "lgZSD", "lgZSA")
 
 ASA_CAP_DEG = 104.0
 ZSA_CAP_DEG = 52.0
+# Caps of the four angular spreads, in LSP_ORDER.
+_SPREAD_CAPS_DEG = np.array([ASA_CAP_DEG, ASA_CAP_DEG, ZSA_CAP_DEG, ZSA_CAP_DEG])
 
 
 class Environment(Enum):
@@ -94,6 +96,7 @@ class ScenarioParams:
     c_phi_nlos: float
     c_theta_nlos: float
     _corr_factor: np.ndarray = field(init=False, repr=False, default=None)
+    _lsp_mean_std: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.cluster_count < 1 or self.rays_per_cluster < 1:
@@ -111,6 +114,10 @@ class ScenarioParams:
         missing = [k for k in LSP_ORDER if k not in self.lsp_means or k not in self.lsp_stds]
         if missing:
             raise ValueError(f"missing LSP entries: {missing}")
+        # The means and stds as (2, 7) rows in LSP_ORDER, for lsps_from_normals.
+        self._lsp_mean_std = np.array(
+            [[table[name] for name in LSP_ORDER] for table in (self.lsp_means, self.lsp_stds)]
+        )
 
     def correlation_factor(self) -> np.ndarray:
         """Symmetric square-root factor of the (repaired) correlation matrix."""
@@ -291,12 +298,11 @@ def lsps_from_normals(params: ScenarioParams, normals: np.ndarray) -> LargeScale
     """
     factor = params.correlation_factor()
     latent = (factor @ normals[..., None])[..., 0]
-    means = np.array([params.lsp_means[name] for name in LSP_ORDER])
-    stds = np.array([params.lsp_stds[name] for name in LSP_ORDER])
+    means, stds = params._lsp_mean_std
     values = means + stds * latent
     # DS and the four angular spreads are log10-domain; the angles are capped.
     spreads = 10.0 ** values[..., 2:]
-    angles = np.minimum(spreads[..., 1:], (ASA_CAP_DEG, ASA_CAP_DEG, ZSA_CAP_DEG, ZSA_CAP_DEG))
+    angles = np.minimum(spreads[..., 1:], _SPREAD_CAPS_DEG)
     return LargeScaleParams(
         sf_db=values[..., 0],
         k_factor_db=values[..., 1],

@@ -349,6 +349,28 @@ class TestRunExperiment:
             expected = np.random.Generator(np.random.PCG64(key))
             assert generator.bit_generator.state == expected.bit_generator.state
 
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 5])
+    def test_stream_words_of_several_points_match_seed_sequence_row_for_row(self, seed):
+        # Rows of four sweep points in one call, keys of one and two words side by side.
+        indices = [0, 0, 3, 2**32 - 1, 2**32, 2**40, 2**40]
+        trials = [0, 2**32 - 1, 2**32, 5, 2**40, 1, 2**32]
+        words = experiment._stream_words(seed, indices, trials)
+        assert words.shape == (len(indices), 3, 4) and words.dtype == np.uint64
+        for row, (index, trial) in enumerate(zip(indices, trials)):
+            for k in range(3):
+                key = np.random.SeedSequence(seed, spawn_key=(index, trial, k))
+                np.testing.assert_array_equal(words[row, k], key.generate_state(4, np.uint64))
+
+    def test_stream_words_of_a_row_do_not_depend_on_the_other_rows(self):
+        indices = np.repeat([4, 5, 2**32], 3)
+        trials = np.tile([0, 7, 2**40], 3)
+        words = experiment._stream_words(9, indices, trials)
+        for row in range(len(indices)):
+            alone = experiment._stream_words(9, indices[row : row + 1], trials[row : row + 1])
+            np.testing.assert_array_equal(alone[0], words[row])
+        reversed_rows = experiment._stream_words(9, indices[::-1], trials[::-1])
+        np.testing.assert_array_equal(reversed_rows[::-1], words)
+
     @pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_trial_rngs_reject_negative_seeds_and_keys(self, args):
         with pytest.raises(ValueError, match=">= 0"):
@@ -678,12 +700,12 @@ class TestUnitFailureScope:
 
     def test_only_the_failing_point_of_a_unit_gets_an_error_row(self, monkeypatch):
         expected = run_experiment(self.config())
-        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_3)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_3)
         self.check(run_experiment(self.config(), workers=1), expected)
 
     def test_a_pooled_unit_is_rerun_point_by_point(self, monkeypatch, forced_pool):
         expected = run_experiment(self.config())
-        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_3)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_3)
         self.check(run_experiment(self.config(), workers=2), expected)
         assert forced_pool == [2]
 
@@ -749,29 +771,32 @@ class TestChunkWorkingSet:
         assert peak <= 2 * channel._CHUNK_BYTES
 
 
-_unchecked_trial_rngs = experiment._trial_rngs
+_unchecked_stream_words = experiment._stream_words
 
 
-def trial_rngs_failing_at_point_1(master_seed, sweep_index, trial):
-    if sweep_index == 1 and trial == 2:
-        raise RuntimeError("trial failed")
-    return _unchecked_trial_rngs(master_seed, sweep_index, trial)
+def stream_words_failing_at(point, trial):
+    """A ``_stream_words`` that raises for any chunk holding (point, trial)."""
+
+    def stream_words(master_seed, sweep_indices, trials):
+        if any(i == point and t == trial for i, t in zip(sweep_indices, trials)):
+            raise RuntimeError("trial failed")
+        return _unchecked_stream_words(master_seed, sweep_indices, trials)
+
+    return stream_words
 
 
-def trial_rngs_failing_at_point_3(master_seed, sweep_index, trial):
-    if sweep_index == 3 and trial == 1:
-        raise RuntimeError("trial failed")
-    return _unchecked_trial_rngs(master_seed, sweep_index, trial)
+stream_words_failing_at_point_1 = stream_words_failing_at(1, 2)
+stream_words_failing_at_point_3 = stream_words_failing_at(3, 1)
 
 
-def trial_rngs_interrupted(master_seed, sweep_index, trial):
+def stream_words_interrupted(master_seed, sweep_indices, trials):
     raise KeyboardInterrupt
 
 
 class TestFailureScope:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exception_in_a_trial_becomes_that_points_error_row(self, monkeypatch, workers):
-        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_1)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_1)
         config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
         stats = run_experiment(config, workers=workers)
         assert [row.index for row in stats.rows] == [0, 1, 2]
@@ -782,12 +807,12 @@ class TestFailureScope:
             assert math.isfinite(row.mean_rate_bps_hz) and row.trials == 4
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_interrupted)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(small_config(trials=2))
 
     def test_pooled_exception_becomes_that_points_error_row(self, monkeypatch, forced_pool):
-        monkeypatch.setattr(experiment, "_trial_rngs", trial_rngs_failing_at_point_1)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_1)
         config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
         stats = run_experiment(config, workers=2)
         assert forced_pool == [2]
