@@ -68,37 +68,40 @@ from .largescale import assign_link_state, draw_lsps  # noqa: F401
 from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angles  # noqa: F401
 
 
-# Working-set budget of one chunk of trials, in bytes; a chunk's steering
-# block is built in tiles within the same budget.
+# Working-set budget of one chunk of trials, in bytes. One _TILE_SHARE-th of
+# it is assembly's steering workspace, in which the factors are built in tiles.
 _CHUNK_BYTES = 1 << 20
+_TILE_SHARE = 4
 
 
 def _chunk_trials(env: Environment, n_elements: int, regime, several_points=False) -> int:
     """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
 
-    Counts what the stages hold per trial, as measured with tracemalloc: for
-    each of the C*S rays (the larger of the LOS and NLOS tables' counts)
-    about eight float64 values on a panel link (the stacked draws, ray
-    angles, phases, mask, the surviving rays' values) and four on the direct
-    link, and on a panel link 64 bytes per element (the complex assembly
-    grid and channel vector, and link evaluation's float temporaries). A
-    point has two panel links in the far field, one in the near field and
-    none without elements; both panel links of a trial are mapped in one
-    pass, so all of this is held at once. A chunk of ``several_points``
+    A chunk holds a fixed part and a part per trial. The fixed part is the
+    ``_CHUNK_BYTES // _TILE_SHARE`` that assembly's steering workspace takes;
+    the rest of the budget goes to trials. Per trial it counts what
+    tracemalloc measured at the chunk's peak (the slope of the peak over the
+    trials of a chunk): 64 bytes for each of the C*S rays of the larger of
+    the LOS and NLOS tables, whatever the trial's links (measured 27 B per
+    ray for the direct link alone, 45-54 with one panel link, 62-64 with
+    two; each LOS state is drawn and mapped in a pass of its own), and 16
+    bytes per element for each panel link's channel row, into which
+    assembly writes. A point has two panel links in the far field, one in
+    the near field and none without elements. A chunk of ``several_points``
     near-field points also holds each row's copy of its point's ``g``: 16
-    bytes per element (one point's chunk broadcasts its ``g`` instead). The
-    steering block is left out: assembly builds it in tiles within the same
-    budget. The estimate depends on the point alone, never on ``workers``.
+    bytes per element (one point's chunk broadcasts its ``g`` instead).
+    Link evaluation's products take a fixed block, not a share per trial.
+    The estimate depends on the point alone, never on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
         for p in (load_scenario_params(env, los) for los in (True, False))
     )
     panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
-    per_trial = 8 * 4 * rays + panel_links * (8 * 8 * rays + 64 * n_elements)
+    per_trial = 64 * rays + 16 * n_elements * panel_links
     if several_points and regime is FieldRegime.NEAR_FIELD:
         per_trial += 16 * n_elements
-    return max(1, _CHUNK_BYTES // per_trial)
+    return max(1, (_CHUNK_BYTES - _CHUNK_BYTES // _TILE_SHARE) // per_trial)
 
 
 class FieldRegime(Enum):
@@ -147,6 +150,7 @@ def _assemble_panel_channel(
     pattern: Optional[ElementPattern],
     wavelength_m: float,
     convention: str,
+    out=None,
 ) -> np.ndarray:
     """Sum the surviving rays' contributions into the N-element channel vector.
 
@@ -156,63 +160,76 @@ def _assemble_panel_channel(
     doubling from one complex exponential per ray.
 
     A cluster set with a leading trial axis (and ``pl_linear`` of shape (T,))
-    gives one vector per trial, shape (T, N). The factors are built in tiles
-    of whole trials, each tile's (side, 2R) block within ``_CHUNK_BYTES``,
-    and each trial's product takes its own columns of its tile's block.
+    gives one vector per trial, shape (T, N). Each trial's product is
+    written straight into its vector: into item t of ``out`` when given
+    (anything whose item t is trial t's (N,) vector, which is returned),
+    else into a new array. A trial with no surviving ray gets zeros. The
+    factors are built in tiles of whole trials, each tile's (side, 2R) block
+    within ``_CHUNK_BYTES // _TILE_SHARE`` or of one trial, in one reused
+    workspace; each trial's product takes its own columns of its tile's.
     """
     mask = cluster_set.ray_mask
     lead = mask.shape[:-2]
     mask = mask.reshape((-1,) + mask.shape[-2:])
-    n_rays = mask.shape[-1]
-    trial, cluster, _ = np.nonzero(mask)
+    n_trials, n_clusters, n_rays = mask.shape
+    vectors = np.empty((n_trials, panel.n_elements), dtype=complex) if out is None else out
+    # The flat indices of the surviving rays, in trial, cluster, ray order.
+    rays = np.flatnonzero(mask)
 
     def surviving(values):
-        return values.reshape(mask.shape)[mask]
+        return np.take(values, rays)
 
     zenith = surviving(cluster_set.ray_zenith_deg)
     gains = element_gain(zenith, pattern) if pattern is not None else np.ones_like(zenith)
+    trial = rays // (n_clusters * n_rays)
     coeffs = (
-        np.sqrt(cluster_set.powers.reshape(mask.shape[:2])[trial, cluster] / n_rays)
+        np.sqrt(np.take(cluster_set.powers, rays // n_rays) / n_rays)
         * np.sqrt(gains / np.reshape(pl_linear, -1)[trial])
         * np.exp(1j * surviving(cluster_set.phases_rad))
     )
-    a, b = steering_phase_factors(zenith, surviving(cluster_set.ray_azimuth_deg), convention)
+    # The x and z steering multipliers (a, b) of every surviving ray, stacked.
+    ab = np.stack(
+        steering_phase_factors(zenith, surviving(cluster_set.ray_azimuth_deg), convention)
+    )
+    del gains, zenith, rays
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
-    n_trials = mask.shape[0]
-    grid = np.zeros((n_trials, panel.side, panel.side), dtype=complex)
+    side = panel.side
     bounds = np.searchsorted(trial, np.arange(n_trials + 1))
+    del trial
     # A tile holds two complex factors per element index for each of its
-    # rays, and as many whole trials as fit _CHUNK_BYTES (at least one).
-    tile_rays = _CHUNK_BYTES // (2 * 16 * panel.side)
+    # rays, and as many whole trials as fit its share (at least one).
+    tile_rays = _CHUNK_BYTES // _TILE_SHARE // (2 * 16 * side)
+    capacity = max(min(tile_rays, bounds[-1]), np.diff(bounds).max(initial=0))
+    workspace = np.empty(2 * side * capacity, dtype=complex)
     first = 0
     while first < n_trials:
         last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + tile_rays, "right")) - 1)
         lo, hi = bounds[first], bounds[last]
-        base = np.exp(1j * kd * np.stack((a[lo:hi], b[lo:hi])))[:, None, :]
-        # factors[:, k] holds base**k, the column (a) and row (b) factors of
+        base = np.exp(1j * kd * ab[:, lo:hi])
+        # factors[k] holds base**k, the column (a) and row (b) factors of
         # element index k. Each pass extends the known indices 0..step-1 by
-        # multiplying them with base**step.
-        factors = np.empty((2, panel.side, hi - lo), dtype=complex)
-        factors[:, 0] = 1.0
+        # multiplying them with base**step; the indices it reads and those it
+        # writes lie apart in the workspace, so numpy copies neither.
+        factors = workspace[: 2 * side * (hi - lo)].reshape(side, 2, hi - lo)
+        factors[0] = 1.0
         step = 1
-        while step < panel.side:
-            count = min(step, panel.side - step)
+        while step < side:
+            count = min(step, side - step)
             np.multiply(
-                factors[:, :count],
-                factors[:, step - 1 : step] * base,
-                out=factors[:, step : step + count],
+                factors[:count], factors[step - 1] * base, out=factors[step : step + count]
             )
             step += count
-        col_factors, row_factors = factors
+        col_factors, row_factors = factors.transpose(1, 0, 2)
         row_factors *= coeffs[lo:hi]
         for t in range(first, last):
             start, stop = bounds[t] - lo, bounds[t + 1] - lo
+            grid = vectors[t].reshape(side, side)
             if stop > start:
-                grid[t] = row_factors[:, start:stop] @ col_factors[:, start:stop].T
-        # Free this tile's block before the next one is allocated.
-        del factors, col_factors, row_factors
+                np.matmul(row_factors[:, start:stop], col_factors[:, start:stop].T, out=grid)
+            else:
+                grid[...] = 0.0
         first = last
-    return grid.reshape(lead + (panel.n_elements,))
+    return vectors.reshape(lead + (panel.n_elements,)) if out is None else vectors
 
 
 @dataclass(frozen=True)
@@ -253,38 +270,70 @@ class _Link:
         angles = () if direction is None else (direction.zenith_deg, direction.azimuth_deg)
         return {los: (pl_db,) + angles for los, pl_db in self.pl_db.items()}
 
-    def draw(self, rng: np.random.Generator) -> tuple[bool, list]:
-        """One trial's LOS state and the variates of its stages, in draw order.
+    def draw(self, rng: np.random.Generator) -> tuple[bool, np.random.Generator]:
+        """A trial's LOS state, the first value of its stream, and ``rng``.
 
-        This is the stream contract: the LOS state, then the LSP normals,
+        ``draw_rows`` takes the rest of the trial's stream from ``rng`` once
+        the rows of its LOS state are known.
+        """
+        return self.forced_los or bool(rng.random() < self.los_probability), rng
+
+    @staticmethod
+    def draw_rows(los: bool, rows: list) -> list:
+        """Draw blocks of link-trial rows in LOS state ``los``, one per stage draw.
+
+        ``rows[i]`` is a ``(link, rng)`` pair whose LOS state ``draw`` has
+        drawn. Block k holds the k-th draw of every row on a leading row
+        axis, and each trial's variates are written straight into its row.
+        This is the stream contract: after the LOS state, the LSP normals,
         delay uniforms and cluster shadowing normals, for a panel link the
         sign bits and jitter normals of the azimuth then zenith cluster
         centres and the ray offset order (one row-wise shuffle, which draws
         as a permutation per row would), and the ray phase uniforms.
-        ``random`` and ``standard_normal`` give the same values as the
-        ``uniform(0, 1)`` and ``normal(0, 1)`` of the one-trial stage
-        functions, at less cost.
+        ``random``, ``standard_normal`` and ``permuted`` with ``out=`` give
+        the same values as the sized calls, and the sized ``uniform(0, 1)``
+        and ``normal(0, 1)`` of the one-trial stage functions; ``integers``
+        has no ``out=``, so its values are assigned into the row.
         """
-        los = self.forced_los or bool(rng.random() < self.los_probability)
-        params = self.params[los]
-        c, s = params.cluster_count, params.rays_per_cluster
-        draws = [rng.standard_normal(7), rng.random(c), rng.standard_normal(c)]
-        if self.panel is not None:
-            for _ in range(2):
-                draws += [rng.integers(0, 2, size=c), rng.standard_normal(c)]
-            draws.append(rng.permuted(_offset_rows(c, s), axis=1))
-        draws.append(rng.random((c, s)))
-        return los, draws
+        link = rows[0][0]
+        params = link.params[los]
+        c, s, count = params.cluster_count, params.rays_per_cluster, len(rows)
+        offsets = _offset_rows(c, s)
+        lsp, delay, shadow = np.empty((count, 7)), np.empty((count, c)), np.empty((count, c))
+        angles, phase = [], np.empty((count, c, s))
+        if link.panel is not None:
+            angles = [
+                np.empty((count, c), dtype=np.int64),
+                np.empty((count, c)),
+                np.empty((count, c), dtype=np.int64),
+                np.empty((count, c)),
+                np.empty((count,) + offsets.shape, dtype=offsets.dtype),
+            ]
+            az_bits, az_normals, zen_bits, zen_normals, order = angles
+        for row, (_, rng) in enumerate(rows):
+            rng.standard_normal(out=lsp[row])
+            rng.random(out=delay[row])
+            rng.standard_normal(out=shadow[row])
+            if angles:
+                az_bits[row] = rng.integers(0, 2, size=c)
+                rng.standard_normal(out=az_normals[row])
+                zen_bits[row] = rng.integers(0, 2, size=c)
+                rng.standard_normal(out=zen_normals[row])
+                rng.permuted(offsets, axis=1, out=order[row])
+            rng.random(out=phase[row])
+        return [lsp, delay, shadow, *angles, phase]
 
     @staticmethod
-    def map_draws(rows: list, los: bool, blocks: list) -> tuple:
+    def map_draws(rows: list, los: bool, blocks: list, out=None) -> tuple:
         """(channel, path loss dB, LSPs, cluster set) of link-trial rows in one LOS state.
 
-        ``rows[i]`` is the link of row i. ``blocks[k]`` stacks the k-th draw
-        of ``draw`` of every row on a leading row axis, which every result
-        carries: the channel is (T, N) for panel links and (T,) for direct
-        links, whose cluster set is None. Every stage maps each row alone,
-        so a row's values do not depend on the other rows. Empties
+        ``rows[i]`` is the link of row i and ``blocks`` are the rows' draw
+        blocks (``draw_rows``), each with a leading row axis, which every
+        result carries: the channel is (T, N) for panel links and (T,) for
+        direct links, whose cluster set is None. A panel link's channel is
+        written into ``out`` when given (anything whose item i is row i's
+        (N,) vector) and returned as ``out``. Every stage maps each row
+        alone, so a row's values do not depend on the other rows. Empties
         ``blocks``, so each block is freed once it is mapped.
         """
         link = rows[0]
@@ -305,23 +354,27 @@ class _Link:
             los,
             shadow,
         )
-        phases = phases_from_uniforms(phase)
+        phases = phases_from_uniforms(phase, out=phase)
         pl_linear = 10.0 ** (pl_db / 10.0)
         if link.panel is None:
             # No angles or element pattern: each ray adds its amplitude and phase.
-            rays = np.sqrt(powers[..., None] / s) * np.exp(1j * phases)
+            rays = 1j * phases
+            del phases, phase
+            np.exp(rays, out=rays)
+            rays *= np.sqrt(powers[..., None] / s)
             value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
             return value, pl_db, lsps, None
         los_zenith, los_azimuth = constants.T[1:, :, None]
         zenith, azimuth = ray_angles_from(
             link.env, powers, lsps, los_zenith, los_azimuth, los, params, *angles
         )
-        del angles, phase
+        del angles
         clusters = filter_front_hemisphere(
             build_cluster_set(delays, powers, zenith, azimuth, phases)
         )
         vector = _assemble_panel_channel(
-            link.panel, clusters, pl_linear, link.pattern, link.wavelength_m, link.convention
+            link.panel, clusters, pl_linear, link.pattern, link.wavelength_m, link.convention,
+            out=out,
         )
         return vector, pl_db, lsps, clusters
 
@@ -330,31 +383,34 @@ class _Link:
         """(LOS states, channels) of link-trial rows, in row order.
 
         ``rows`` holds a ``(link, link.draw(rng))`` pair per row. The rows of
-        each LOS state are mapped in one pass and their channels scattered
-        back to row order: the states are (T,), the channels (T, N) or (T,).
-        Empties ``rows`` once each LOS state's draws are stacked, so the
-        chunk holds every draw once while its stages run.
+        each LOS state draw the rest of their streams into that state's
+        blocks (``draw_rows``), which one pass maps, writing each panel row's
+        channel straight into its place: the states are (T,), the channels
+        (T, N) or (T,). One LOS state's blocks are held at a time. Empties
+        ``rows``.
         """
         los = np.array([state for _, (state, _) in rows], dtype=bool)
-        stacked = []
+        panel = rows[0][0].panel
+        shape = los.shape if panel is None else (los.size, panel.n_elements)
+        values = np.empty(shape, dtype=complex)
+        pending = [(link, rng) for link, (_, rng) in rows]
+        rows.clear()
         for state in (True, False):
             index = np.flatnonzero(los == state)
             if index.size:
-                links = [rows[i][0] for i in index]
-                blocks = [np.array(column) for column in zip(*(rows[i][1][1] for i in index))]
-                stacked.append((state, index, links, blocks))
-        panel = rows[0][0].panel
-        rows.clear()
-        shape = los.shape if panel is None else (los.size, panel.n_elements)
-        values = np.empty(shape, dtype=complex)
-        for state, index, links, blocks in stacked:
-            values[index] = _Link.map_draws(links, state, blocks)[0]
+                blocks = _Link.draw_rows(state, [pending[i] for i in index])
+                links = [pending[i][0] for i in index]
+                if panel is None:
+                    values[index] = _Link.map_draws(links, state, blocks)[0]
+                else:
+                    _Link.map_draws(links, state, blocks, out=[values[i] for i in index])
         return los, values
 
     def one_trial(self, rng: np.random.Generator) -> tuple:
         """(channel, ``LinkMetadata``) of one trial drawn from ``rng``: one row."""
-        los, draws = self.draw(rng)
-        value, pl_db, lsps, clusters = self.map_draws([self], los, [d[None] for d in draws])
+        los, rng = self.draw(rng)
+        blocks = self.draw_rows(los, [(self, rng)])
+        value, pl_db, lsps, clusters = self.map_draws([self], los, blocks)
         clusters = None if clusters is None else _trial_of(clusters, 0)
         return value[0], LinkMetadata(
             kind=self.kind,

@@ -645,14 +645,16 @@ def _stats(config: ExperimentConfig, placed: list) -> list:
 
     The trials run in chunks of ``chunk_trials``, with the same trials of
     every point in one chunk: a unit of several points fits one chunk, a
-    point alone takes as many as its trials need. Raises what a chunk raises.
+    point alone takes as many as its trials need. Each statistic of every
+    point is then one reduction over the trial axis of a (points, trials)
+    array. Raises what a chunk raises.
     """
     trials, count = config.trials, len(placed)
     budget = LinkBudget.from_dbm(placed[0].point.p_t_dbm, config.n_0_dbm)
     rates = np.empty((count, trials))
     snrs = np.empty((count, trials))
-    los_h = np.zeros(count, dtype=int)
-    los_siso = np.zeros(count, dtype=int)
+    los_h = np.zeros((count, trials), dtype=bool)
+    los_siso = np.empty((count, trials), dtype=bool)
     step = placed[0].chunk_trials
     for start in range(0, trials, step):
         stop = min(start + step, trials)
@@ -661,21 +663,27 @@ def _stats(config: ExperimentConfig, placed: list) -> list:
         rates[:, start:stop] = result.rate_bps_hz.reshape(count, -1)
         snrs[:, start:stop] = result.snr_linear.reshape(count, -1)
         if chunk.los["tx_ris"] is not None:
-            los_h += chunk.los["tx_ris"].reshape(count, -1).sum(axis=1)
-        los_siso += chunk.los["tx_rx"].reshape(count, -1).sum(axis=1)
+            los_h[:, start:stop] = chunk.los["tx_ris"].reshape(count, -1)
+        los_siso[:, start:stop] = chunk.los["tx_rx"].reshape(count, -1)
+    mean_rates = rates.mean(axis=1).tolist()
+    std_rates = rates.std(axis=1, ddof=1).tolist() if trials > 1 else [0.0] * count
+    mean_snrs = snrs.mean(axis=1).tolist()
+    los_h_counts = los_h.sum(axis=1).tolist()
+    los_siso_counts = los_siso.sum(axis=1).tolist()
     rows = []
     for k, channels in enumerate(placed):
         point = channels.point
-        mean_snr = float(np.mean(snrs[k]))
+        mean_snr = mean_snrs[k]
+        los_txris = los_h_counts[k] / trials if point.n_elements > 0 else float("nan")
         rows.append(
             SweepResult(
                 index=channels.sweep_index,
                 point=point,
-                mean_rate_bps_hz=float(np.mean(rates[k])),
-                std_rate=float(np.std(rates[k], ddof=1)) if trials > 1 else 0.0,
+                mean_rate_bps_hz=mean_rates[k],
+                std_rate=std_rates[k],
                 mean_snr_db=10.0 * math.log10(mean_snr) if mean_snr > 0 else float("-inf"),
-                los_fraction_txris=int(los_h[k]) / trials if point.n_elements > 0 else float("nan"),
-                los_fraction_txrx=int(los_siso[k]) / trials,
+                los_fraction_txris=los_txris,
+                los_fraction_txrx=los_siso_counts[k] / trials,
                 regime=channels.regime_name,
                 trials=trials,
                 seed=config.master_seed,

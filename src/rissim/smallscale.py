@@ -116,9 +116,11 @@ def cluster_powers(
     return powers_from_normals(delays_s, r_tau, ds, zeta_db, k_db, los, normals)
 
 
-def phases_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Initial ray phases on (-pi, pi] from uniforms on [0, 1)."""
-    return np.pi - u * 2.0 * np.pi
+def phases_from_uniforms(u: np.ndarray, out=None) -> np.ndarray:
+    """Initial ray phases on (-pi, pi] from uniforms on [0, 1), into ``out`` when given."""
+    phases = np.multiply(u, 2.0, out=out)
+    phases *= np.pi
+    return np.subtract(np.pi, phases, out=phases)
 
 
 def draw_phases(c: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,8 +164,12 @@ def _cluster_centers(
 
 @functools.cache
 def _offset_rows(c: int, s: int) -> np.ndarray:
-    """2C rows of 0..S-1: each row is permuted into one ray-offset order."""
-    return np.broadcast_to(np.arange(s), (2 * c, s))
+    """2C rows of 0..S-1: each row is permuted into one ray-offset order.
+
+    The shuffle draws the same values whatever the integer type, so the
+    smallest one that holds S-1 keeps a chunk's order block small.
+    """
+    return np.broadcast_to(np.arange(s, dtype=np.min_scalar_type(s - 1)), (2 * c, s))
 
 
 def ray_angles_from(
@@ -226,15 +232,19 @@ def ray_angles_from(
         normals=zen_normals,
     )
 
-    offsets = scenario.ray_offsets[order]
-
-    azimuth = az_centers[..., None] + scenario.c_asa_deg * offsets[..., 0::2, :]
-    zenith = zen_centers[..., None] + scenario.c_zsa_deg * offsets[..., 1::2, :]
-
-    azimuth = np.mod(azimuth + 180.0, 360.0) - 180.0
+    # Each angle array is built in place, so a chunk holds one array per angle.
+    azimuth = scenario.ray_offsets[order[..., 0::2, :]]
+    azimuth *= scenario.c_asa_deg
+    azimuth += az_centers[..., None]
+    azimuth += 180.0
+    np.mod(azimuth, 360.0, out=azimuth)
+    azimuth -= 180.0
     azimuth[azimuth == -180.0] = 180.0
-    zenith = np.mod(zenith, 360.0)
-    zenith = np.where(zenith > 180.0, 360.0 - zenith, zenith)
+    zenith = scenario.ray_offsets[order[..., 1::2, :]]
+    zenith *= scenario.c_zsa_deg
+    zenith += zen_centers[..., None]
+    np.mod(zenith, 360.0, out=zenith)
+    np.subtract(360.0, zenith, out=zenith, where=zenith > 180.0)
     return zenith, azimuth
 
 

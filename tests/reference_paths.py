@@ -6,6 +6,8 @@ against it:
 
 * ``trial_rngs`` derives a trial's three generators with
   ``SeedSequence.spawn``.
+* ``link_draws`` makes one trial's draws of one link by the stream
+  contract, with one plain sized call per draw.
 * ``tx_ris_channel``, ``ris_rx_farfield`` and ``siso_channel`` compose one
   link from the per-trial stages below: LOS state, LSPs, path loss, delays,
   powers, angles, phases, hemisphere filter and assembly.
@@ -55,6 +57,27 @@ from rissim.smallscale import _C_PHI_LOS_COEFFS, _C_THETA_LOS_COEFFS, build_clus
 def trial_rngs(master_seed, sweep_index, trial):
     base = np.random.SeedSequence(entropy=master_seed, spawn_key=(sweep_index, trial))
     return tuple(np.random.default_rng(s) for s in base.spawn(3))
+
+
+def link_draws(link, rng):
+    """(LOS state, draws) of one trial of a ``channel._Link``, in stream order.
+
+    The LOS state (a uniform unless forced), the LSP normals, delay uniforms
+    and cluster shadowing normals; for a panel link the sign bits and jitter
+    normals of the azimuth then zenith cluster centres, and one permutation
+    of the ray offsets per cluster and dimension, azimuth before zenith (2C
+    rows); then the ray phase uniforms.
+    """
+    los = link.forced_los or bool(rng.uniform() < link.los_probability)
+    params = link.params[los]
+    c, s = params.cluster_count, params.rays_per_cluster
+    draws = [rng.normal(0.0, 1.0, size=7), rng.uniform(size=c), rng.normal(0.0, 1.0, size=c)]
+    if link.panel is not None:
+        for _ in range(2):
+            draws += [rng.integers(0, 2, size=c), rng.normal(0.0, 1.0, size=c)]
+        draws.append(np.array([rng.permutation(s) for _ in range(2 * c)]))
+    draws.append(rng.uniform(size=(c, s)))
+    return los, draws
 
 
 def draw_lsps(params, los, rng):

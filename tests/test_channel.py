@@ -6,11 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import make_scenario
+import reference_paths
 from reference_paths import steering_vector
 from rissim.array_response import STEERING_CONVENTIONS, ElementPattern, element_gain
 from rissim.channel import (
     FieldRegime,
     _assemble_panel_channel,
+    _direct_link,
+    _Link,
+    _panel_link,
     nearfield_plate_gain,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -470,3 +474,47 @@ class TestSelectFieldRegime:
             select_field_regime(panel, rx, CARRIER, FieldRegime.FAR_FIELD)
             is FieldRegime.FAR_FIELD
         )
+
+
+class TestStreamContract:
+    """The rows ``_Link.draw_rows`` writes against the contract's plain sized calls."""
+
+    PANEL = PanelGeometry.centered(Point3(0.0, 0.0, 3.0), 16, 0.0625, "+y")
+
+    @classmethod
+    def link(cls, env, kind):
+        if kind == "panel-drawn":
+            # The terminal is above the panel: the LOS state is drawn.
+            return _panel_link(
+                "tx_ris", env, Point3(10.0, 30.0, 10.0), cls.PANEL, CARRIER,
+                ElementPattern(), "reference",
+            )
+        if kind == "panel-forced":
+            # The panel is above the terminal: LOS is forced.
+            return _panel_link(
+                "ris_rx", env, Point3(-5.0, 20.0, 1.5), cls.PANEL, CARRIER,
+                ElementPattern(), "reference",
+            )
+        return _direct_link(env, Point3(10.0, 30.0, 10.0), Point3(0.0, 5.0, 1.5), CARRIER)
+
+    @pytest.mark.parametrize("env", list(Environment))
+    @pytest.mark.parametrize("kind", ["panel-drawn", "panel-forced", "direct"])
+    def test_draw_rows_equal_the_plain_sized_calls(self, env, kind):
+        link = self.link(env, kind)
+        assert link.forced_los == (kind == "panel-forced")
+        seeds = range(60)
+        references = [np.random.default_rng(seed) for seed in seeds]
+        expected = [reference_paths.link_draws(link, rng) for rng in references]
+        drawn = [link.draw(np.random.default_rng(seed)) for seed in seeds]
+        assert [los for los, _ in drawn] == [los for los, _ in expected]
+        states = {los for los, _ in drawn}
+        assert states == ({True} if link.forced_los else {True, False})
+        for state in states:
+            rows = [i for i, (los, _) in enumerate(drawn) if los == state]
+            blocks = _Link.draw_rows(state, [(link, drawn[i][1]) for i in rows])
+            assert len(blocks) == len(expected[rows[0]][1])
+            for row, i in enumerate(rows):
+                for block, draw in zip(blocks, expected[i][1]):
+                    np.testing.assert_array_equal(block[row], draw)
+                after = drawn[i][1].bit_generator.state
+                assert after == references[i].bit_generator.state

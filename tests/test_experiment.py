@@ -599,11 +599,11 @@ class TestUnits:
     @pytest.mark.parametrize(
         "config, sizes",
         [
-            # Five trials fit a chunk at N=1024 in the far field.
-            (replace(figure_presets()["fig5a"], trials=2), [2] * 165),
-            (replace(figure_presets()["fig5a"], trials=3), [1] * 330),
-            # A near-field unit also holds a copy of each point's g: eight points at N=1024.
-            (replace(figure_presets()["fig5b"], trials=1), [8, 8, 8, 6]),
+            # Thirteen trials fit a chunk at N=1024 in the far field.
+            (replace(figure_presets()["fig5a"], trials=2), [6] * 55),
+            (replace(figure_presets()["fig5a"], trials=3), [4] * 82 + [2]),
+            # A near-field unit also holds a copy of each point's g: 13 points at N=1024.
+            (replace(figure_presets()["fig5b"], trials=1), [13, 13, 4]),
             # Every point differs in N, or is the no-RIS point at another power.
             (replace(figure_presets()["fig4"], trials=1), [1] * 6),
             # The regime switches from near to far field between y=50 and y=52.
@@ -668,6 +668,26 @@ class TestUnits:
             alone = [_run_sweep_point(config, i, p) for i, p in enumerate(config.sweep_points())]
         assert [repr(row) for row in stats.rows] == [repr(row) for row in alone]
 
+    def test_unit_statistics_equal_each_points_own_reductions(self):
+        # One reduction over the trial axis of the unit's (points, trials)
+        # arrays gives each point's numpy mean and std bit for bit.
+        config = fig5a_row(3)
+        unit = experiment._units(config)[1]
+        assert len(unit) > 2
+        rows = experiment._stats(config, [channels.connect() for channels in unit])
+        budget = LinkBudget.from_dbm(config.p_t_dbm, config.n_0_dbm)
+        trials = range(config.trials)
+        for row, channels in zip(rows, unit):
+            chunk = channels.chunk(trials)
+            result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
+            mean_snr = float(np.mean(result.snr_linear))
+            assert row.index == channels.sweep_index
+            assert row.mean_rate_bps_hz == float(np.mean(result.rate_bps_hz))
+            assert row.std_rate == float(np.std(result.rate_bps_hz, ddof=1))
+            assert row.mean_snr_db == 10.0 * math.log10(mean_snr)
+            assert row.los_fraction_txris == int(chunk.los["tx_ris"].sum()) / config.trials
+            assert row.los_fraction_txrx == int(chunk.los["tx_rx"].sum()) / config.trials
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_units_do_not_depend_on_workers(self, monkeypatch, inline_pool, workers):
         ran = []
@@ -677,7 +697,8 @@ class TestUnits:
             return _unchecked_run_unit(config, unit, **kwargs)
 
         monkeypatch.setattr(experiment, "_run_unit", recorded)
-        config = fig5a_row(2, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
+        # At six trials two points fit a chunk.
+        config = fig5a_row(6, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
         run_experiment(config, workers=workers)
         assert inline_pool == ([2] if workers == 2 else [])
         assert ran == [[0, 1], [2, 3], [4]]
@@ -688,8 +709,8 @@ class TestUnitFailureScope:
 
     @staticmethod
     def config():
-        # Units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
-        return fig5a_row(2, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
+        # At six trials, units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
+        return fig5a_row(6, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
 
     def check(self, stats, expected):
         assert [row.index for row in stats.rows] == list(range(6))
@@ -733,17 +754,32 @@ class TestChunkWorkingSet:
         np.testing.assert_array_equal(one_per_tile.g, tiled.g)
 
     @pytest.mark.parametrize(
+        "preset, n_elements, floor",
+        [("fig5a", 1024, 12), ("fig4", 4096, 8), ("fig3a", 64, 25)],
+    )
+    def test_chunks_are_at_least_as_wide_as_the_floor(self, preset, n_elements, floor):
+        # UMi far field at N=1024, UMi near field at N=4096, InH near field at N=64.
+        channels, _ = self.place(preset, n_elements)
+        assert channels.chunk_trials >= floor
+
+    def test_fig5a_units_at_two_trials_hold_six_points_or_more(self):
+        units = experiment._units(replace(figure_presets()["fig5a"], trials=2))
+        assert min(len(unit) for unit in units) >= 6
+
+    @pytest.mark.parametrize(
         "preset, n_elements, trials",
         [
             # InH and UMi far field (two panel links) at N=64, UMi near and far field at N=4096.
             ("fig3a", 64, 64), ("fig5a", 64, 64), ("fig4", 4096, 64), ("fig5a", 4096, 64),
-            # Units at one trial per point: five fig5a points at N=1024, ten panel
-            # rows in one pass; fig5b points at N=1024 and 4096, each row with a
-            # copy of its own point's near-field g.
+            # The fig5a preset's own shape: UMi far field at N=1024.
+            ("fig5a", 1024, 64),
+            # Units at one trial per point: thirteen fig5a points at N=1024, 26
+            # panel rows in one pass; fig5b points at N=1024 and 4096, each row
+            # with a copy of its own point's near-field g.
             ("fig5a", 1024, 1), ("fig5b", 1024, 1), ("fig5b", 4096, 1),
         ],
         ids=[
-            "fig3a-64", "fig5a-64", "fig4-4096", "fig5a-4096",
+            "fig3a-64", "fig5a-64", "fig4-4096", "fig5a-4096", "fig5a-1024-64",
             "fig5a-1024-unit", "fig5b-1024-unit", "fig5b-4096-unit",
         ],
     )
