@@ -7,10 +7,12 @@ All stochastic links are narrowband: cluster delays only shape the power and
 angle statistics, and the output is a single complex coefficient per element.
 
 A stochastic link's constants (``_Link``) are computed once per sweep point.
-A chunk is generated in two phases: ``_Link.draw``, the one statement of the
-draw order, makes each trial's draws from its generator; ``_Link.map_draws``
-then feeds the draws of all rows in one LOS state, stacked on a row axis, to
-the stages' pure mappings. A row is one link-trial. It brings its own link's
+A chunk is generated in two phases: ``_Link.draw`` draws each trial's LOS
+state, and ``_Link.draw_rows``, the one statement of the draw order, writes
+the rest of the draws of all rows in one LOS state into blocks with a row
+axis; ``_Link.map_draws`` then feeds the blocks to the stages' pure
+mappings, and assembly writes each row's channel into its place. A row is
+one link-trial. It brings its own link's
 path loss without shadow fading and LOS direction, and shares everything
 else with the pass, so one pass maps the Tx-RIS and far-field RIS-Rx trials
 of every point of a sweep unit (consecutive points with equal element count

@@ -7,7 +7,7 @@ cluster angles (wrapped Gaussian azimuth outdoors, Laplacian indoors and for
 all zeniths) re-centered on the LOS direction, and fixed per-ray offsets with
 random coupling.
 
-Each random stage is a pure mapping of the variates ``channel._Link.draw``
+Each random stage is a pure mapping of the variates ``channel._Link.draw_rows``
 draws (``*_from_*``); on a chunk of trials its arrays carry a leading trial
 axis. The ``rng``-taking names draw one trial's variates and map them.
 """
