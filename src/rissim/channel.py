@@ -85,7 +85,7 @@ def _chunk_trials(env: Environment, n_elements: int, regime, several_points=Fals
     tracemalloc measured at the chunk's peak (the slope of the peak over the
     trials of a chunk): 64 bytes for each of the C*S rays of the larger of
     the LOS and NLOS tables, whatever the trial's links (measured 27 B per
-    ray for the direct link alone, 45-54 with one panel link, 62-64 with
+    ray for the direct link alone, 38-48 with one panel link, 47-61 with
     two; each LOS state is drawn and mapped in a pass of its own), and 16
     bytes per element for each panel link's channel row, into which
     assembly writes. A point has two panel links in the far field, one in
@@ -208,20 +208,21 @@ def _assemble_panel_channel(
         last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + tile_rays, "right")) - 1)
         lo, hi = bounds[first], bounds[last]
         base = np.exp(1j * kd * ab[:, lo:hi])
-        # factors[k] holds base**k, the column (a) and row (b) factors of
+        # factors[:, k] holds base**k, the column (a) and row (b) factors of
         # element index k. Each pass extends the known indices 0..step-1 by
-        # multiplying them with base**step; the indices it reads and those it
-        # writes lie apart in the workspace, so numpy copies neither.
-        factors = workspace[: 2 * side * (hi - lo)].reshape(side, 2, hi - lo)
-        factors[0] = 1.0
-        step = 1
-        while step < side:
-            count = min(step, side - step)
-            np.multiply(
-                factors[:count], factors[step - 1] * base, out=factors[step : step + count]
-            )
-            step += count
-        col_factors, row_factors = factors.transpose(1, 0, 2)
+        # multiplying them with base**step. A plane at a time: its indices
+        # read and written lie apart, so numpy copies neither, and the row
+        # plane stays contiguous for its scaling.
+        factors = workspace[: 2 * side * (hi - lo)].reshape(2, side, hi - lo)
+        factors[:, 0] = 1.0
+        for plane, plane_base in zip(factors, base):
+            step = 1
+            while step < side:
+                count = min(step, side - step)
+                power = plane[step - 1] * plane_base
+                np.multiply(plane[:count], power, out=plane[step : step + count])
+                step += count
+        col_factors, row_factors = factors
         row_factors *= coeffs[lo:hi]
         for t in range(first, last):
             start, stop = bounds[t] - lo, bounds[t + 1] - lo
