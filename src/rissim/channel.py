@@ -166,9 +166,10 @@ def _assemble_panel_channel(
     written straight into its vector: into item t of ``out`` when given
     (anything whose item t is trial t's (N,) vector, which is returned),
     else into a new array. A trial with no surviving ray gets zeros. The
-    factors are built in tiles of whole trials, each tile's (side, 2R) block
-    within ``_CHUNK_BYTES // _TILE_SHARE`` or of one trial, in one reused
-    workspace; each trial's product takes its own columns of its tile's.
+    factors are built in tiles of whole trials, each tile's (2, side, R)
+    block within ``_CHUNK_BYTES // _TILE_SHARE`` or of one trial, in one
+    reused workspace; each trial's product takes its own columns of its
+    tile's.
     """
     mask = cluster_set.ray_mask
     lead = mask.shape[:-2]
@@ -283,7 +284,7 @@ class _Link:
 
     @staticmethod
     def draw_rows(los: bool, rows: list) -> list:
-        """Draw blocks of link-trial rows in LOS state ``los``, one per stage draw.
+        """The draw blocks of link-trial rows in LOS state ``los``, one per stage draw.
 
         ``rows[i]`` is a ``(link, rng)`` pair whose LOS state ``draw`` has
         drawn. Block k holds the k-th draw of every row on a leading row
