@@ -77,33 +77,40 @@ _TILE_SHARE = 4
 
 
 def _chunk_trials(env: Environment, n_elements: int, regime, several_points=False) -> int:
-    """Trials per chunk that keep a chunk's working set within ``_CHUNK_BYTES``.
+    """Trials per chunk that keep a chunk's working set near ``_CHUNK_BYTES``.
 
-    A chunk holds a fixed part and a part per trial. The fixed part is the
-    ``_CHUNK_BYTES // _TILE_SHARE`` that assembly's steering workspace takes;
-    the rest of the budget goes to trials. Per trial it counts what
-    tracemalloc measured at the chunk's peak (the slope of the peak over the
-    trials of a chunk): 64 bytes for each of the C*S rays of the larger of
-    the LOS and NLOS tables, whatever the trial's links (measured 27 B per
-    ray for the direct link alone, 38-48 with one panel link, 47-61 with
-    two; each LOS state is drawn and mapped in a pass of its own), and 16
-    bytes per element for each panel link's channel row, into which
-    assembly writes. A point has two panel links in the far field, one in
-    the near field and none without elements. A chunk of ``several_points``
-    near-field points also holds each row's copy of its point's ``g``: 16
-    bytes per element (one point's chunk broadcasts its ``g`` instead).
-    Link evaluation's products take a fixed block, not a share per trial.
-    The estimate depends on the point alone, never on ``workers``.
+    The fixed part is assembly's steering workspace (``_CHUNK_BYTES //
+    _TILE_SHARE``) and its 16 bytes per element of product scratch; the rest
+    of the budget goes to trials. Per trial it counts the larger of
+    assembly's two peaks, per slot of the C*S rays of the larger of the LOS
+    and NLOS tables (each LOS state is mapped in a pass of its own): 68
+    bytes per slot while the surviving rays are gathered, or 42 bytes per
+    slot plus 8 bytes per element for each panel link's row of magnitudes
+    while the factors are built, after the pass's ray arrays are freed.
+    tracemalloc measured the slopes of these peaks over the trials of fig5a
+    chunks (UMi, far field, N = 16 to 4096) at 57.5 bytes per slot plus the
+    rows (68 in all at N = 256), and at 15-36 bytes per slot plus the rows.
+    Left out of the fixed part are numpy's 128 KiB ufunc buffer of the tile
+    scaling and, at N = 4096, a tile of one trial's rays that outgrows the
+    workspace share, so chunk peaks reach ~1.2 MiB.
+
+    A point has two panel links in the far field, one in the near field and
+    none without elements. A chunk of ``several_points`` near-field points
+    also holds each row's copy of its point's |g| (one point's chunk
+    broadcasts it), which counts as one more panel link. Link evaluation's
+    products take a fixed block. The estimate depends on the point alone,
+    never on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
         for p in (load_scenario_params(env, los) for los in (True, False))
     )
     panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
-    per_trial = 64 * rays + 16 * n_elements * panel_links
     if several_points and regime is FieldRegime.NEAR_FIELD:
-        per_trial += 16 * n_elements
-    return max(1, (_CHUNK_BYTES - _CHUNK_BYTES // _TILE_SHARE) // per_trial)
+        panel_links += 1
+    per_trial = max(68 * rays, 42 * rays + 8 * n_elements * panel_links)
+    fixed = _CHUNK_BYTES // _TILE_SHARE + 16 * n_elements
+    return max(1, (_CHUNK_BYTES - fixed) // per_trial)
 
 
 class FieldRegime(Enum):
@@ -165,40 +172,53 @@ def _assemble_panel_channel(
     gives one vector per trial, shape (T, N). Each trial's product is
     written straight into its vector: into item t of ``out`` when given
     (anything whose item t is trial t's (N,) vector, which is returned),
-    else into a new array. A trial with no surviving ray gets zeros. The
-    factors are built in tiles of whole trials, each tile's (2, side, R)
-    block within ``_CHUNK_BYTES // _TILE_SHARE`` or of one trial, in one
-    reused workspace; each trial's product takes its own columns of its
-    tile's.
+    else into a new complex array. Real vectors in ``out`` get the product's
+    magnitude, which is all the optimal-phase SNR reads: each product is
+    formed in one reused (side, side) complex scratch and its ``np.abs``
+    written into the vector. A trial with no surviving ray gets zeros. The
+    surviving rays are gathered first and the reference to ``cluster_set``
+    dropped, so a caller that passes the set as a temporary frees its ray
+    arrays before the factors are built. The factors are built in tiles of
+    whole trials, each tile's (2, side, R) block within ``_CHUNK_BYTES //
+    _TILE_SHARE`` or of one trial, in one reused workspace; each trial's
+    product takes its own columns of its tile's.
     """
     mask = cluster_set.ray_mask
     lead = mask.shape[:-2]
-    mask = mask.reshape((-1,) + mask.shape[-2:])
-    n_trials, n_clusters, n_rays = mask.shape
+    n_clusters, n_rays = mask.shape[-2:]
+    n_trials = mask.size // (n_clusters * n_rays)
     vectors = np.empty((n_trials, panel.n_elements), dtype=complex) if out is None else out
     # The flat indices of the surviving rays, in trial, cluster, ray order.
     rays = np.flatnonzero(mask)
+    del mask
 
     def surviving(values):
         return np.take(values, rays)
 
     zenith = surviving(cluster_set.ray_zenith_deg)
+    azimuth = surviving(cluster_set.ray_azimuth_deg)
+    phases = surviving(cluster_set.phases_rad)
+    powers = np.take(cluster_set.powers, rays // n_rays)
+    # The ray arrays are freed here unless the caller still holds the set.
+    del cluster_set
     gains = element_gain(zenith, pattern) if pattern is not None else np.ones_like(zenith)
     trial = rays // (n_clusters * n_rays)
+    del rays
     coeffs = (
-        np.sqrt(np.take(cluster_set.powers, rays // n_rays) / n_rays)
+        np.sqrt(powers / n_rays)
         * np.sqrt(gains / np.reshape(pl_linear, -1)[trial])
-        * np.exp(1j * surviving(cluster_set.phases_rad))
+        * np.exp(1j * phases)
     )
+    del powers, gains, phases
     # The x and z steering multipliers (a, b) of every surviving ray, stacked.
-    ab = np.stack(
-        steering_phase_factors(zenith, surviving(cluster_set.ray_azimuth_deg), convention)
-    )
-    del gains, zenith, rays
+    ab = np.stack(steering_phase_factors(zenith, azimuth, convention))
+    del zenith, azimuth
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
     side = panel.side
     bounds = np.searchsorted(trial, np.arange(n_trials + 1))
     del trial
+    # Real vectors take the magnitude of each product, formed in a scratch grid.
+    scratch = None if np.iscomplexobj(vectors[0]) else np.empty((side, side), dtype=complex)
     # A tile holds two complex factors per element index for each of its
     # rays, and as many whole trials as fit its share (at least one).
     tile_rays = _CHUNK_BYTES // _TILE_SHARE // (2 * 16 * side)
@@ -227,11 +247,14 @@ def _assemble_panel_channel(
         row_factors *= coeffs[lo:hi]
         for t in range(first, last):
             start, stop = bounds[t] - lo, bounds[t + 1] - lo
-            grid = vectors[t].reshape(side, side)
+            row = vectors[t].reshape(side, side)
             if stop > start:
+                grid = row if scratch is None else scratch
                 np.matmul(row_factors[:, start:stop], col_factors[:, start:stop].T, out=grid)
+                if scratch is not None:
+                    np.abs(grid, out=row)
             else:
-                grid[...] = 0.0
+                row[...] = 0.0
         first = last
     return vectors.reshape(lead + (panel.n_elements,)) if out is None else vectors
 
@@ -296,8 +319,11 @@ class _Link:
         as a permutation per row would), and the ray phase uniforms.
         ``random``, ``standard_normal`` and ``permuted`` with ``out=`` give
         the same values as the sized calls, and the sized ``uniform(0, 1)``
-        and ``normal(0, 1)`` of the one-trial stage functions; ``integers``
-        has no ``out=``, so its values are assigned into the row.
+        and ``normal(0, 1)`` of the one-trial stage functions. A sign bit is
+        ``integers(0, 2)``'s value, the top bit of one 32-bit word, which a
+        float32 ``random`` reads as its ``>= 0.5``: the bits are drawn as
+        float32 uniforms and each block is turned to bools in one call
+        (``rissim validate`` checks the equivalence).
         """
         link = rows[0][0]
         params = link.params[los]
@@ -307,9 +333,9 @@ class _Link:
         angles, phase = [], np.empty((count, c, s))
         if link.panel is not None:
             angles = [
-                np.empty((count, c), dtype=np.int64),
+                np.empty((count, c), dtype=np.float32),
                 np.empty((count, c)),
-                np.empty((count, c), dtype=np.int64),
+                np.empty((count, c), dtype=np.float32),
                 np.empty((count, c)),
                 np.empty((count,) + offsets.shape, dtype=offsets.dtype),
             ]
@@ -319,12 +345,14 @@ class _Link:
             rng.random(out=delay[row])
             rng.standard_normal(out=shadow[row])
             if angles:
-                az_bits[row] = rng.integers(0, 2, size=c)
+                rng.random(out=az_bits[row], dtype=np.float32)
                 rng.standard_normal(out=az_normals[row])
-                zen_bits[row] = rng.integers(0, 2, size=c)
+                rng.random(out=zen_bits[row], dtype=np.float32)
                 rng.standard_normal(out=zen_normals[row])
                 rng.permuted(offsets, axis=1, out=order[row])
             rng.random(out=phase[row])
+        if angles:
+            angles[0], angles[2] = az_bits >= 0.5, zen_bits >= 0.5
         return [lsp, delay, shadow, *angles, phase]
 
     @staticmethod
@@ -336,9 +364,11 @@ class _Link:
         result carries: the channel is (T, N) for panel links and (T,) for
         direct links, whose cluster set is None. A panel link's channel is
         written into ``out`` when given (anything whose item i is row i's
-        (N,) vector) and returned as ``out``. Every stage maps each row
-        alone, so a row's values do not depend on the other rows. Empties
-        ``blocks``, so each block is freed once it is mapped.
+        (N,) vector; real vectors get magnitudes) and returned as ``out``;
+        its cluster set is then None too, since none is kept while assembly
+        runs. Every stage maps each row alone, so a row's values do not
+        depend on the other rows. Empties ``blocks``, so each block is freed
+        once it is mapped.
         """
         link = rows[0]
         params = link.params[los]
@@ -373,11 +403,12 @@ class _Link:
             link.env, powers, lsps, los_zenith, los_azimuth, los, params, *angles
         )
         del angles
-        clusters = filter_front_hemisphere(
-            build_cluster_set(delays, powers, zenith, azimuth, phases)
-        )
+        box = [filter_front_hemisphere(build_cluster_set(delays, powers, zenith, azimuth, phases))]
+        del zenith, azimuth, phases, phase
+        clusters = box[0] if out is None else None
+        # Passed as a temporary: with ``out``, assembly holds the only reference.
         vector = _assemble_panel_channel(
-            link.panel, clusters, pl_linear, link.pattern, link.wavelength_m, link.convention,
+            link.panel, box.pop(), pl_linear, link.pattern, link.wavelength_m, link.convention,
             out=out,
         )
         return vector, pl_db, lsps, clusters
@@ -390,13 +421,17 @@ class _Link:
         each LOS state draw the rest of their streams into that state's
         blocks (``draw_rows``), which one pass maps, writing each panel row's
         channel straight into its place: the states are (T,), the channels
-        (T, N) or (T,). One LOS state's blocks are held at a time. Empties
-        ``rows``.
+        (T, N) or (T,). A panel row holds the magnitudes |h_n| of its
+        channel, 8 bytes per element, since the optimal-phase SNR
+        (``evaluate_link``) reads no element phase; a direct row stays
+        complex. One LOS state's blocks are held at a time. Empties ``rows``.
         """
         los = np.array([state for _, (state, _) in rows], dtype=bool)
         panel = rows[0][0].panel
-        shape = los.shape if panel is None else (los.size, panel.n_elements)
-        values = np.empty(shape, dtype=complex)
+        if panel is None:
+            values = np.empty(los.shape, dtype=complex)
+        else:
+            values = np.empty((los.size, panel.n_elements))
         pending = [(link, rng) for link, (_, rng) in rows]
         rows.clear()
         for state in (True, False):

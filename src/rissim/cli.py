@@ -205,6 +205,20 @@ def _cmd_validate() -> int:
                 ok = ok and generator.bit_generator.state == expected.bit_generator.state
     report("trial generators match their SeedSequence keys", ok)
 
+    # Sign bits are drawn as float32 uniforms, whose >= 0.5 is the top bit of
+    # the 32-bit word integers(0, 2) reads; a numpy that reads those words
+    # otherwise would change every result. Odd counts leave half a word.
+    ok = True
+    for seed in (0, 7, 2024, 2**70 + 5):
+        drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (1, 3, 12, 19, 20):
+            bits = drawn.random(count, dtype=np.float32) >= 0.5
+            ok = ok and np.array_equal(bits, expected.integers(0, 2, size=count))
+            normals = drawn.standard_normal(count), expected.standard_normal(count)
+            ok = ok and np.array_equal(*normals)
+            ok = ok and drawn.bit_generator.state == expected.bit_generator.state
+    report("float32 sign bits match integers(0, 2)", ok)
+
     # A chunk derives the state words of all its rows in one call, rows of
     # several sweep points and keys of one and two words among them.
     ok = True

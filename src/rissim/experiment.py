@@ -458,9 +458,11 @@ def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
 class _Chunk:
     """All three channels of a chunk of trials.
 
-    ``h`` and ``g`` are (T, N) (N = 0 without a panel), ``h_siso`` is (T,);
-    ``los`` maps "tx_ris", "ris_rx" and "tx_rx" to each stochastic link's
-    (T,) LOS states (None for an absent or near-field link).
+    ``h`` and ``g`` are (T, N) element magnitudes |h_n| and |g_n| (N = 0
+    without a panel), all that the optimal-phase SNR of ``evaluate_link``
+    reads; ``h_siso`` is (T,) and complex. ``los`` maps "tx_ris", "ris_rx"
+    and "tx_rx" to each stochastic link's (T,) LOS states (None for an
+    absent or near-field link).
     """
 
     h: np.ndarray
@@ -596,7 +598,7 @@ def _chunk(parts: list) -> _Chunk:
     n_h = len(rows["tx_ris"])
     panel_rows = rows.pop("tx_ris") + rows.pop("ris_rx")
     if not panel_rows:
-        h = g = np.zeros((h_siso.size, 0), dtype=complex)
+        h = g = np.zeros((h_siso.size, 0))
         return _Chunk(h, g, h_siso, los)
     far = len(panel_rows) > n_h
     states, values = _Link.generate(panel_rows)
@@ -604,7 +606,7 @@ def _chunk(parts: list) -> _Chunk:
     if far:
         los["ris_rx"], g = states[n_h:], values[n_h:]
     else:
-        nears = [np.broadcast_to(c.near[0], (len(t), c.panel.n_elements)) for c, t in parts]
+        nears = [np.broadcast_to(np.abs(c.near[0]), (len(t), c.panel.n_elements)) for c, t in parts]
         g = nears[0] if len(nears) == 1 else np.concatenate(nears)
     return _Chunk(h, g, h_siso, los)
 

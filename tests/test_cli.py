@@ -229,6 +229,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "PASS trial generators match their SeedSequence keys" in out
+        assert "PASS float32 sign bits match integers(0, 2)" in out
         assert "PASS chunk state words match their SeedSequence keys" in out
 
 

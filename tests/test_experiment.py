@@ -498,8 +498,9 @@ class TestFastPathMatchesReference:
                 saw_mixed_chunk |= any(0 < los.sum() < los.size for los in states.values())
                 for row, t in enumerate(trials):
                     real = channels.trial(t)
-                    np.testing.assert_array_equal(chunk.h[row], real.h)
-                    np.testing.assert_array_equal(chunk.g[row], real.g)
+                    # Chunk rows hold the element magnitudes of the one-trial vectors.
+                    np.testing.assert_array_equal(chunk.h[row], np.abs(real.h))
+                    np.testing.assert_array_equal(chunk.g[row], np.abs(real.g))
                     np.testing.assert_array_equal(chunk.h_siso[row], real.h_siso)
                     for kind, los in states.items():
                         assert los[row] == real.metadata[kind].state.los
@@ -528,7 +529,7 @@ class TestFastPathMatchesReference:
             assert meta.fully_shadowed == (not ref_clusters.ray_mask.any())
             np.testing.assert_array_equal(meta.cluster_set.ray_mask, ref_clusters.ray_mask)
             scale = np.abs(ref_h).max(initial=0.0)
-            np.testing.assert_allclose(values[i], ref_h, rtol=0.0, atol=1e-10 * scale)
+            np.testing.assert_allclose(values[i], np.abs(ref_h), rtol=0.0, atol=1e-10 * scale)
             np.testing.assert_allclose(value, ref_h, rtol=0.0, atol=1e-10 * scale)
             shadowed.append(meta.fully_shadowed)
         assert any(shadowed) and not all(shadowed)
@@ -599,11 +600,11 @@ class TestUnits:
     @pytest.mark.parametrize(
         "config, sizes",
         [
-            # Thirteen trials fit a chunk at N=1024 in the far field.
-            (replace(figure_presets()["fig5a"], trials=2), [6] * 55),
-            (replace(figure_presets()["fig5a"], trials=3), [4] * 82 + [2]),
-            # A near-field unit also holds a copy of each point's g: 13 points at N=1024.
-            (replace(figure_presets()["fig5b"], trials=1), [13, 13, 4]),
+            # Twenty-three trials fit a chunk at N=1024 in the far field.
+            (replace(figure_presets()["fig5a"], trials=2), [11] * 30),
+            (replace(figure_presets()["fig5a"], trials=3), [7] * 47 + [1]),
+            # A near-field unit also holds a copy of each point's |g|: 23 points at N=1024.
+            (replace(figure_presets()["fig5b"], trials=1), [23, 7]),
             # Every point differs in N, or is the no-RIS point at another power.
             (replace(figure_presets()["fig4"], trials=1), [1] * 6),
             # The regime switches from near to far field between y=50 and y=52.
@@ -650,8 +651,8 @@ class TestUnits:
                 rows = ((channels, t) for channels in placed for t in trials)
                 for row, (channels, t) in enumerate(rows):
                     real = channels.trial(t)
-                    np.testing.assert_array_equal(chunk.h[row], real.h)
-                    np.testing.assert_array_equal(chunk.g[row], real.g)
+                    np.testing.assert_array_equal(chunk.h[row], np.abs(real.h))
+                    np.testing.assert_array_equal(chunk.g[row], np.abs(real.g))
                     np.testing.assert_array_equal(chunk.h_siso[row], real.h_siso)
                     for kind, los in states.items():
                         assert los[row] == real.metadata[kind].state.los
@@ -697,8 +698,8 @@ class TestUnits:
             return _unchecked_run_unit(config, unit, **kwargs)
 
         monkeypatch.setattr(experiment, "_run_unit", recorded)
-        # At six trials two points fit a chunk.
-        config = fig5a_row(6, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
+        # At ten trials two points fit a chunk.
+        config = fig5a_row(10, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
         run_experiment(config, workers=workers)
         assert inline_pool == ([2] if workers == 2 else [])
         assert ran == [[0, 1], [2, 3], [4]]
@@ -709,8 +710,8 @@ class TestUnitFailureScope:
 
     @staticmethod
     def config():
-        # At six trials, units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
-        return fig5a_row(6, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
+        # At ten trials, units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
+        return fig5a_row(10, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
 
     def check(self, stats, expected):
         assert [row.index for row in stats.rows] == list(range(6))
@@ -755,16 +756,16 @@ class TestChunkWorkingSet:
 
     @pytest.mark.parametrize(
         "preset, n_elements, floor",
-        [("fig5a", 1024, 12), ("fig4", 4096, 8), ("fig3a", 64, 25)],
+        [("fig5a", 1024, 20), ("fig4", 4096, 12), ("fig3a", 64, 25)],
     )
     def test_chunks_are_at_least_as_wide_as_the_floor(self, preset, n_elements, floor):
         # UMi far field at N=1024, UMi near field at N=4096, InH near field at N=64.
         channels, _ = self.place(preset, n_elements)
         assert channels.chunk_trials >= floor
 
-    def test_fig5a_units_at_two_trials_hold_six_points_or_more(self):
+    def test_fig5a_units_at_two_trials_hold_ten_points_or_more(self):
         units = experiment._units(replace(figure_presets()["fig5a"], trials=2))
-        assert min(len(unit) for unit in units) >= 6
+        assert min(len(unit) for unit in units) >= 10
 
     @pytest.mark.parametrize(
         "preset, n_elements, trials",
@@ -773,9 +774,9 @@ class TestChunkWorkingSet:
             ("fig3a", 64, 64), ("fig5a", 64, 64), ("fig4", 4096, 64), ("fig5a", 4096, 64),
             # The fig5a preset's own shape: UMi far field at N=1024.
             ("fig5a", 1024, 64),
-            # Units at one trial per point: thirteen fig5a points at N=1024, 26
-            # panel rows in one pass; fig5b points at N=1024 and 4096, each row
-            # with a copy of its own point's near-field g.
+            # Units at one trial per point: 23 fig5a points at N=1024, 46 panel
+            # rows in one pass; fig5b points at N=1024 and 4096, each row with
+            # a copy of its own point's near-field |g|.
             ("fig5a", 1024, 1), ("fig5b", 1024, 1), ("fig5b", 4096, 1),
         ],
         ids=[

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from rissim.link import (
     LinkBudget,
+    LinkResult,
     achievable_rate,
     evaluate_link,
     optimal_phases,
@@ -181,6 +184,25 @@ class TestTrialAxisProperties:
             one = evaluate_link(h[t], g[t], h_siso[t], self.budget).snr_linear
             # The abs of a complex scalar and of an array may differ in the last bit.
             assert snrs[t] == pytest.approx(one, rel=1e-14, abs=1e-300)
+
+    @given(channels=trial_channels())
+    def test_magnitudes_give_the_same_results_bit_for_bit(self, channels):
+        # Chunks carry |h| and |g|: the closed form reads no element phase.
+        self.check_magnitudes(*channels)
+
+    def test_magnitudes_give_the_same_results_bit_for_bit_across_product_blocks(self, rng):
+        # At N=1024 a product block holds 8 of the 20 trials.
+        h, g, _ = random_channels(rng, (20, 1024))
+        self.check_magnitudes(h, g, rng.standard_normal(20) + 1j * rng.standard_normal(20))
+
+    def check_magnitudes(self, h, g, h_siso):
+        for index in (np.s_[:], np.s_[0]):
+            h_rows, g_rows, direct = h[index], g[index], h_siso[index]
+            magnitudes = evaluate_link(np.abs(h_rows), np.abs(g_rows), direct, self.budget)
+            complex_rows = evaluate_link(h_rows, g_rows, direct, self.budget)
+            for field in fields(LinkResult):
+                value, expected = (getattr(r, field.name) for r in (magnitudes, complex_rows))
+                np.testing.assert_array_equal(value, expected)
 
     @given(channels=trial_channels())
     def test_never_falls_as_elements_are_appended(self, channels):
