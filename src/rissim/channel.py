@@ -76,7 +76,7 @@ _CHUNK_BYTES = 1 << 20
 _TILE_SHARE = 4
 
 
-def _chunk_trials(env: Environment, n_elements: int, regime, several_points=False) -> int:
+def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     """Trials per chunk that keep a chunk's working set near ``_CHUNK_BYTES``.
 
     The fixed part is assembly's steering workspace (``_CHUNK_BYTES //
@@ -95,19 +95,21 @@ def _chunk_trials(env: Environment, n_elements: int, regime, several_points=Fals
     workspace share, so chunk peaks reach ~1.2 MiB.
 
     A point has two panel links in the far field, one in the near field and
-    none without elements. A chunk of ``several_points`` near-field points
-    also holds each row's copy of its point's |g| (one point's chunk
-    broadcasts it), which counts as one more panel link. Link evaluation's
-    products take a fixed block. The estimate depends on the point alone,
-    never on ``workers``.
+    none without elements. A chunk of several near-field points also holds
+    each row's copy of its point's |g|, but these are made after the panel
+    rows are generated and assembly's working set is freed, so they are not
+    counted. At one trial per point, tracemalloc measured a 29-point fig5b
+    chunk at N = 1024 at 0.78-0.88 MiB while generating and no more in all,
+    and a 14-point one at N = 4096 at 1.14-1.33 MiB while generating and
+    1.33 MiB in all (the h rows, each point's |g| and the copies). Link
+    evaluation's products take a fixed block. The estimate depends on the
+    point alone, never on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
         for p in (load_scenario_params(env, los) for los in (True, False))
     )
     panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
-    if several_points and regime is FieldRegime.NEAR_FIELD:
-        panel_links += 1
     per_trial = max(68 * rays, 42 * rays + 8 * n_elements * panel_links)
     fixed = _CHUNK_BYTES // _TILE_SHARE + 16 * n_elements
     return max(1, (_CHUNK_BYTES - fixed) // per_trial)

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -474,38 +473,25 @@ class _Chunk:
 class _PointChannels:
     """Per-point constants of one sweep point.
 
-    ``locate`` builds the panel, selects the RIS-Rx regime and sizes the
-    point's chunks; ``connect`` then computes the deterministic near-field
-    ``g`` and every stochastic link's constants once (``place`` does both).
-    ``chunk`` draws each trial of a chunk from that trial's own RNG streams,
-    then maps the draws of all of them at once (``_chunk`` for this point
-    alone); ``trial`` maps one trial alone and adds each link's metadata.
+    The constructor builds the panel, selects the RIS-Rx regime and sizes
+    the point's chunks; ``connect`` then computes the deterministic
+    near-field ``g`` and every stochastic link's constants once. The regime
+    is set before ``connect`` can fail, so a point whose geometry fails
+    still reports it. ``_chunk`` maps the trials of a chunk of connected
+    points; ``trial`` maps one trial alone and adds each link's metadata.
     Without elements (the no-RIS baseline) ``h`` and ``g`` are empty.
-    ``place`` is apart from the constructor so that a point whose geometry
-    fails still reports the regime selected before the failure.
     """
 
-    def __init__(self, config: ExperimentConfig, sweep_index: int):
+    def __init__(self, config: ExperimentConfig, sweep_index: int, point: SweepPoint):
         self.config = config
         self.sweep_index = sweep_index
+        self.point = point
         self.carrier = CarrierConfig(config.f_c_ghz)
         self.pattern = ElementPattern(config.element_pattern_q)
-        self.point = None
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
         self.near = None
         self.links = {}
-        self.chunk_trials = 1
-        self.unit_trials = 1
-
-    @property
-    def regime_name(self) -> str:
-        return self.regime.value if self.panel is not None else "none"
-
-    def locate(self, point: SweepPoint) -> "_PointChannels":
-        """The panel and regime of ``point``, and its chunk sizes alone and in a unit."""
-        config = self.config
-        self.point = point
         if point.n_elements > 0:
             self.panel = PanelGeometry.centered(
                 Point3(point.ris_x, point.ris_y, point.ris_z),
@@ -516,13 +502,14 @@ class _PointChannels:
             self.regime = select_field_regime(
                 self.panel, config.rx, self.carrier, config.regime_override
             )
-        env, n_elements = config.environment, point.n_elements
-        self.chunk_trials = _chunk_trials(env, n_elements, self.regime)
-        self.unit_trials = _chunk_trials(env, n_elements, self.regime, several_points=True)
-        return self
+        self.chunk_trials = _chunk_trials(config.environment, point.n_elements, self.regime)
+
+    @property
+    def regime_name(self) -> str:
+        return self.regime.value if self.panel is not None else "none"
 
     def connect(self) -> "_PointChannels":
-        """The near-field ``g`` and the link constants of the located point."""
+        """The near-field ``g`` and the link constants of the point."""
         config, point = self.config, self.point
         env, carrier = config.environment, self.carrier
         links = {"tx_ris": None, "ris_rx": None}
@@ -536,13 +523,6 @@ class _PointChannels:
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
         return self
-
-    def place(self, point: SweepPoint) -> "_PointChannels":
-        return self.locate(point).connect()
-
-    def chunk(self, trials) -> _Chunk:
-        """Channels of the given trials: a draw loop, then one mapping pass."""
-        return _chunk([(self, trials)])
 
     def trial(self, trial: int) -> ChannelRealization:
         """One trial's channels and metadata, each link drawn by ``_Link.one_trial``."""
@@ -564,7 +544,7 @@ class _PointChannels:
 
 
 def _chunk(parts: list) -> _Chunk:
-    """Channels of a chunk whose rows are the given trials of placed points.
+    """Channels of a chunk whose rows are the given trials of connected points.
 
     ``parts`` holds ``(point channels, trials)`` pairs of points with equal
     element count and regime; the chunk's rows are each part's trials in
@@ -618,23 +598,23 @@ def generate_realization(
     trial: int,
 ) -> ChannelRealization:
     """Generate the full channel realization for one (sweep point, trial)."""
-    return _PointChannels(config, sweep_index).place(point).trial(trial)
+    return _PointChannels(config, sweep_index, point).connect().trial(trial)
 
 
 def _units(config: ExperimentConfig) -> list:
-    """The sweep's units of work, each a list of located ``_PointChannels``.
+    """The sweep's units of work, each a list of unconnected ``_PointChannels``.
 
     A unit is a maximal run of consecutive points with equal element count,
     field regime and transmit power whose trials together fit one chunk of
-    ``unit_trials``; a point with more trials than that is a unit of its
-    own. One chunk then holds every trial of a unit of several points.
-    Units depend on the config alone.
+    ``chunk_trials``, as wide as a point's own chunk; a point with more
+    trials than that is a unit of its own. One chunk then holds every trial
+    of a unit of several points. Units depend on the config alone.
     """
     units, last = [], None
     for index, point in enumerate(config.sweep_points()):
-        channels = _PointChannels(config, index).locate(point)
+        channels = _PointChannels(config, index, point)
         key = (point.n_elements, channels.regime_name, point.p_t_dbm)
-        if key == last and (len(units[-1]) + 1) * config.trials <= channels.unit_trials:
+        if key == last and (len(units[-1]) + 1) * config.trials <= channels.chunk_trials:
             units[-1].append(channels)
         else:
             units.append([channels])
@@ -643,7 +623,7 @@ def _units(config: ExperimentConfig) -> list:
 
 
 def _stats(config: ExperimentConfig, placed: list) -> list:
-    """Monte Carlo statistics of the placed points of one unit, in unit order.
+    """Monte Carlo statistics of the connected points of one unit, in unit order.
 
     The trials run in chunks of ``chunk_trials``, with the same trials of
     every point in one chunk: a unit of several points fits one chunk, a
@@ -701,9 +681,9 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
     sweep completes: a ``ValueError`` (bad geometry) keeps its message, any
     other exception is written as ``"<Type>: <message>"``.
     """
-    channels = _PointChannels(config, index)
+    channels = _PointChannels(config, index, point)
     try:
-        return _stats(config, [channels.place(point)])[0]
+        return _stats(config, [channels.connect()])[0]
     except Exception as exc:
         nan = float("nan")
         error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
@@ -713,20 +693,19 @@ def _run_sweep_point(config: ExperimentConfig, index: int, point: SweepPoint) ->
         )
 
 
-def _run_unit(config: ExperimentConfig, unit: list, rerun: bool = True) -> Optional[list]:
+def _run_unit(config: ExperimentConfig, unit: list) -> list:
     """Rows of one unit of ``_units``.
 
     A point alone runs through ``_run_sweep_point``, whose row carries any
     error of the point. A unit of several points that raises is rerun point
-    by point, so only a failing point gets an error row; with ``rerun``
-    False the unit's rows are None instead.
+    by point where it ran, in this process or in a pool worker, so only a
+    failing point gets an error row.
     """
     if len(unit) > 1:
         try:
             return _stats(config, [channels.connect() for channels in unit])
         except Exception:
-            if not rerun:
-                return None
+            pass
     return [_run_sweep_point(config, c.sweep_index, c.point) for c in unit]
 
 
@@ -808,8 +787,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     chunk shares that chunk, and a point with more trials is a unit alone.
     In a unit's chunk the Tx-RIS and far-field RIS-Rx trials of every point
     go through one mapping pass per LOS state. A unit of several points that
-    raises is rerun point by point, so only a failing point gets an error
-    row.
+    raises is rerun point by point where it ran (``_run_unit``), so only a
+    failing point gets an error row.
 
     Units run in this process in index order; with ``workers`` > 1, the
     remaining units go to a process pool once their projected serial time
@@ -824,7 +803,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     products of one trial are too small to gain from more, and the caller's
     thread count is restored afterwards.
     """
-    units = deque(_units(config))
+    # Units are popped in index order from the end of the reversed list, so
+    # a unit's connected points (its links' constants) are freed once it ran.
+    units = _units(config)[::-1]
     workers = min(workers, _usable_cores())
     rows = []
     previous = _set_blas_threads(1)
@@ -837,16 +818,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
                 with ProcessPoolExecutor(
                     max_workers=pool_size, initializer=_set_blas_threads, initargs=(1,)
                 ) as pool:
-                    for unit_rows in pool.map(_run_unit, repeat(config), units):
+                    for unit_rows in pool.map(_run_unit, repeat(config), reversed(units)):
                         rows += unit_rows
                 break
-            unit = units.popleft()
-            unit_rows = _run_unit(config, unit, rerun=False)
-            if unit_rows is None:
-                # Its points go back as units of one, to run here or in the pool.
-                units.extendleft([channels] for channels in reversed(unit))
-                continue
-            rows += unit_rows
+            rows += _run_unit(config, units.pop())
             done += 1
     finally:
         if previous is not None:

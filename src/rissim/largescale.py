@@ -9,6 +9,7 @@ loading a user file with the same schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,6 +106,11 @@ class ScenarioParams:
             raise ValueError("delay_scaling must exceed 1")
         self.cross_correlation = np.asarray(self.cross_correlation, dtype=float)
         self.ray_offsets = np.asarray(self.ray_offsets, dtype=float)
+        if len(self.ray_offsets) != self.rays_per_cluster:
+            raise ValueError(
+                f"rays_per_cluster={self.rays_per_cluster} does not match the "
+                f"ray-offset table of length {len(self.ray_offsets)}"
+            )
         if self.cross_correlation.shape != (7, 7):
             raise ValueError("cross_correlation must be 7x7")
         if not np.allclose(self.cross_correlation, self.cross_correlation.T):
@@ -199,16 +205,11 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
     )
 
 
-_SCENARIO_CACHE: dict = {}
-
-
+@functools.cache
 def load_scenario_params(env: Environment, los: bool) -> ScenarioParams:
     """Load the embedded parameter table for an environment and LOS state."""
-    key = (env, los)
-    if key not in _SCENARIO_CACHE:
-        name = f"{env.value.lower()}_{'los' if los else 'nlos'}.json"
-        _SCENARIO_CACHE[key] = scenario_params_from_dict(_data_file(name))
-    return _SCENARIO_CACHE[key]
+    name = f"{env.value.lower()}_{'los' if los else 'nlos'}.json"
+    return scenario_params_from_dict(_data_file(name))
 
 
 def load_scenario_params_file(path) -> ScenarioParams:

@@ -198,13 +198,6 @@ def ray_angles_from(
     is wrapped into (-180, 180], zenith reflected into [0, 180].
     """
     powers = np.asarray(powers, dtype=float)
-    s = scenario.rays_per_cluster
-    if s != len(scenario.ray_offsets):
-        raise ValueError(
-            f"rays_per_cluster={s} does not match the configured "
-            f"ray-offset table of length {len(scenario.ray_offsets)}"
-        )
-
     c_phi = scenario.c_phi_nlos
     c_theta = scenario.c_theta_nlos
     if los:

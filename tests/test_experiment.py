@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import multiprocessing
@@ -426,7 +427,7 @@ class TestFastPathMatchesReference:
         budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
         snrs, los_h, los_siso, mixed = [], [], [], False
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            chunk = channels.chunk(range(start, stop))
+            chunk = experiment._chunk([(channels, range(start, stop))])
             snrs.extend(evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget).snr_linear)
             link_h = chunk.los["tx_ris"]
             if link_h is not None:
@@ -453,7 +454,7 @@ class TestFastPathMatchesReference:
             warnings.simplefilter("ignore")
             for i in indices:
                 reference = self.reference(config, i, points[i])
-                channels = _PointChannels(config, i).place(points[i])
+                channels = _PointChannels(config, i, points[i]).connect()
                 step = channels.chunk_trials
                 bounds = list(range(0, config.trials, step)) + [config.trials]
                 snrs, los_h, los_siso, mixed = self.engine(channels, points[i], config, bounds)
@@ -490,10 +491,10 @@ class TestFastPathMatchesReference:
         saw_mixed_chunk = False
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            channels = _PointChannels(config, index).place(point)
+            channels = _PointChannels(config, index, point).connect()
             for start in range(0, config.trials, channels.chunk_trials):
                 trials = range(start, min(start + channels.chunk_trials, config.trials))
-                chunk = channels.chunk(trials)
+                chunk = experiment._chunk([(channels, trials)])
                 states = {kind: los for kind, los in chunk.los.items() if los is not None}
                 saw_mixed_chunk |= any(0 < los.sum() < los.size for los in states.values())
                 for row, t in enumerate(trials):
@@ -539,7 +540,7 @@ class TestFastPathMatchesReference:
     def test_chunk_boundaries_do_not_change_trials(self, preset, index):
         config = replace(figure_presets()[preset], trials=14)
         point = config.sweep_points()[index]
-        channels = _PointChannels(config, index).place(point)
+        channels = _PointChannels(config, index, point).connect()
         results = []
         for bounds in (
             list(range(15)),
@@ -581,7 +582,7 @@ class TestFastPathMatchesReference:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reference = self.reference(config, 0, point)
-            channels = _PointChannels(config, 0).place(point)
+            channels = _PointChannels(config, 0, point).connect()
             snrs, los_h, los_siso, _ = self.engine(channels, point, config, [0, 3])
         for t, (ref_snr, _, _, ref_los_h, ref_los_siso) in enumerate(reference):
             assert snrs[t] == pytest.approx(ref_snr, rel=1e-10)
@@ -603,8 +604,8 @@ class TestUnits:
             # Twenty-three trials fit a chunk at N=1024 in the far field.
             (replace(figure_presets()["fig5a"], trials=2), [11] * 30),
             (replace(figure_presets()["fig5a"], trials=3), [7] * 47 + [1]),
-            # A near-field unit also holds a copy of each point's |g|: 23 points at N=1024.
-            (replace(figure_presets()["fig5b"], trials=1), [23, 7]),
+            # A near-field unit is as wide as a point's own chunk: 29 trials at N=1024.
+            (replace(figure_presets()["fig5b"], trials=1), [29, 1]),
             # Every point differs in N, or is the no-RIS point at another power.
             (replace(figure_presets()["fig4"], trials=1), [1] * 6),
             # The regime switches from near to far field between y=50 and y=52.
@@ -621,16 +622,17 @@ class TestUnits:
         for unit in units:
             keys = {(c.point.n_elements, c.regime_name, c.point.p_t_dbm) for c in unit}
             assert len(keys) == 1
-            assert len(unit) == 1 or len(unit) * config.trials <= unit[0].unit_trials
+            assert len(unit) == 1 or len(unit) * config.trials <= unit[0].chunk_trials
 
     @pytest.mark.parametrize(
         "config",
         [
             # Far field: both panel links of every point in one pass.
             fig5a_row(2),
-            # Near field: a different g for every point.
+            # Near field: a different g for every point. fig5b at N=4096 makes
+            # units of 14, 14 and 2 points.
             replace(figure_presets()["fig3a"], trials=1, n_elements=(64,)),
-            replace(figure_presets()["fig5b"], trials=1),
+            replace(figure_presets()["fig5b"], trials=1, n_elements=(4096,)),
         ],
         ids=["fig5a-2", "fig3a-1", "fig5b-1"],
     )
@@ -679,7 +681,7 @@ class TestUnits:
         budget = LinkBudget.from_dbm(config.p_t_dbm, config.n_0_dbm)
         trials = range(config.trials)
         for row, channels in zip(rows, unit):
-            chunk = channels.chunk(trials)
+            chunk = experiment._chunk([(channels, trials)])
             result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
             mean_snr = float(np.mean(result.snr_linear))
             assert row.index == channels.sweep_index
@@ -688,6 +690,29 @@ class TestUnits:
             assert row.mean_snr_db == 10.0 * math.log10(mean_snr)
             assert row.los_fraction_txris == int(chunk.los["tx_ris"].sum()) / config.trials
             assert row.los_fraction_txrx == int(chunk.los["tx_rx"].sum()) / config.trials
+
+    @pytest.mark.parametrize("n_elements, trials", [(1024, 1), (1024, 2), (4096, 1), (4096, 2)])
+    def test_near_field_units_hold_the_trials_of_a_point_alone(self, n_elements, trials):
+        # The rows' copies of each point's |g| take no share of the chunk.
+        config = replace(figure_presets()["fig5b"], trials=trials, n_elements=(n_elements,))
+        unit = experiment._units(config)[0]
+        alone = _PointChannels(config, 0, config.sweep_points()[0]).chunk_trials
+        assert alone == channel._chunk_trials(config.environment, n_elements, FieldRegime.NEAR_FIELD)
+        assert {c.regime for c in unit} == {FieldRegime.NEAR_FIELD}
+        assert len(unit) == alone // trials
+
+    def test_a_unit_is_freed_once_it_ran(self, monkeypatch):
+        # A sweep holds the connected links of one unit at a time, not of every point.
+        ran = []
+
+        def recorded(config, unit):
+            assert all(ref() is None for ref in ran)
+            ran.extend(weakref.ref(channels) for channels in unit)
+            return _unchecked_run_unit(config, unit)
+
+        monkeypatch.setattr(experiment, "_run_unit", recorded)
+        run_experiment(fig5a_row(10, xs=(40.0, 42.0, 44.0, 46.0, 48.0)))
+        assert len(ran) == 5
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_units_do_not_depend_on_workers(self, monkeypatch, inline_pool, workers):
@@ -739,7 +764,7 @@ class TestChunkWorkingSet:
         point = config.sweep_points()[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _PointChannels(config, 0).place(point), point
+            return _PointChannels(config, 0, point).connect(), point
 
     @pytest.mark.parametrize("preset, n_elements", [("fig5a", 1024), ("fig3a", 64)])
     def test_one_trial_per_tile_gives_identical_assembly(
@@ -748,9 +773,9 @@ class TestChunkWorkingSet:
         channels, _ = self.place(preset, n_elements)
         trials = range(3, 3 + channels.chunk_trials)
         assert len(trials) > 1
-        tiled = channels.chunk(trials)
+        tiled = experiment._chunk([(channels, trials)])
         monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
-        one_per_tile = channels.chunk(trials)
+        one_per_tile = experiment._chunk([(channels, trials)])
         np.testing.assert_array_equal(one_per_tile.h, tiled.h)
         np.testing.assert_array_equal(one_per_tile.g, tiled.g)
 
@@ -850,7 +875,9 @@ class TestFailureScope:
 
     def test_pooled_exception_becomes_that_points_error_row(self, monkeypatch, forced_pool):
         monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_1)
-        config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
+        # At 40 trials every point is a unit of its own, so point 1 runs in a worker.
+        config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=40)
+        assert [len(unit) for unit in experiment._units(config)] == [1, 1, 1]
         stats = run_experiment(config, workers=2)
         assert forced_pool == [2]
         assert [row.index for row in stats.rows] == [0, 1, 2]
@@ -858,7 +885,21 @@ class TestFailureScope:
         assert math.isnan(stats.rows[1].mean_rate_bps_hz)
         for row in (stats.rows[0], stats.rows[2]):
             assert row.error is None
-            assert math.isfinite(row.mean_rate_bps_hz) and row.trials == 4
+            assert math.isfinite(row.mean_rate_bps_hz) and row.trials == 40
+
+    def test_a_unit_that_fails_in_process_is_rerun_in_process(self, monkeypatch, forced_pool):
+        # Even with a pool that always pays, the rerun starts none.
+        config = small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=4)
+        assert [len(unit) for unit in experiment._units(config)] == [3]
+        expected = run_experiment(config)
+        monkeypatch.setattr(experiment, "_stream_words", stream_words_failing_at_point_1)
+        stats = run_experiment(config, workers=2)
+        assert forced_pool == []
+        assert [row.index for row in stats.rows] == [0, 1, 2]
+        assert stats.rows[1].error == "RuntimeError: trial failed"
+        assert math.isnan(stats.rows[1].mean_rate_bps_hz)
+        for i in (0, 2):
+            assert repr(stats.rows[i]) == repr(expected.rows[i])
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,13 @@ from scipy import stats
 import reference_paths
 from conftest import ScriptedRng, make_scenario
 from rissim.geometry import SphericalAngles
-from rissim.largescale import Environment, LargeScaleParams, load_scenario_params
+from rissim.largescale import (
+    LSP_ORDER,
+    Environment,
+    LargeScaleParams,
+    load_scenario_params,
+    load_scenario_params_file,
+)
 from rissim.smallscale import (
     build_cluster_set,
     cluster_powers,
@@ -169,19 +177,29 @@ class TestDrawRayAngles:
             assert np.all((zen >= 0.0) & (zen <= 180.0))
             assert np.all((az > -180.0) & (az <= 180.0))
 
-    def test_rays_mismatch_rejected(self, rng):
-        scenario = make_scenario(cluster_count=2, rays_per_cluster=3, ray_offsets=[0.0])
-        lsps = make_lsps()
+    def test_rays_mismatch_rejected(self):
+        # The table is checked once, when it is built, not in every mapping pass.
         with pytest.raises(ValueError, match="offset table"):
-            draw_ray_angles(
-                Environment.INH,
-                np.array([0.5, 0.5]),
-                lsps,
-                SphericalAngles(90.0, 90.0),
-                True,
-                scenario,
-                rng,
-            )
+            make_scenario(cluster_count=2, rays_per_cluster=3, ray_offsets=[0.0])
+
+    def test_rays_mismatch_in_a_user_file_rejected_at_load(self, tmp_path):
+        raw = {
+            "environment": "InH",
+            "los_state": "NLOS",
+            "cluster_count": 19,
+            "rays_per_cluster": 3,
+            "delay_scaling": 3.0,
+            "per_cluster_shadowing_db": 3.0,
+            "c_asa_deg": 11.0,
+            "c_zsa_deg": 9.0,
+            "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
+            "cross_correlation": np.eye(7).tolist(),
+            "ray_offsets": [0.0, 0.5],
+        }
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="offset table"):
+            load_scenario_params_file(path)
 
     def test_deterministic(self):
         params = load_scenario_params(Environment.UMI, True)
