@@ -4,8 +4,9 @@ A sweep enumerates RIS placements (z heights or an x/y grid) and element
 counts. Every (sweep point, trial) pair derives its own RNG streams from the
 master seed by counter-based key derivation, so results are bit-identical
 regardless of execution order or parallelism. The keys are those of numpy's
-``SeedSequence``; a chunk of trials derives the state words of all its rows
-in one vectorised pass with ``SeedSequence``'s arithmetic (``_stream_words``).
+``SeedSequence``, whose generators one trial alone takes (``_trial_rngs``);
+a chunk derives the state words of all its rows in one vectorised pass with
+its arithmetic, for the one-word keys a sweep makes (``_stream_words``).
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= 2**32:
+            raise ValueError(f"trials must be in [1, 2**32] (one key word each), got {self.trials}")
         if len(self.n_elements) == 0:
             raise ValueError("n_elements sweep must be non-empty")
         for axis in (self.ris_x_sweep, self.ris_y_sweep, self.ris_z_sweep):
@@ -322,65 +323,32 @@ def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
 # j and j + 1, for the eight halves of the four uint64 state words.
 _READOUT = _schedule(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)[:, None, None]
 _READ_FROM = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
-# The last word of every spawn key: the stream number k, one per column.
-_STREAM_KEYS = np.arange(len(_STREAMS), dtype=np.uint32)[:, None]
-
-
-def _words32(values) -> tuple:
-    """(words, counts): non-negative integers as little-endian 32-bit words.
-
-    ``words[j]`` holds word j of each value (0 past its last word) and
-    ``counts`` the number of words of each; 0 is one word. ``values`` is
-    anything ``np.asarray`` takes, Python ints past 64 bits included.
-    """
-    rest = np.asarray(values)
-    if (rest < 0).any():
-        raise ValueError(f"seeds and spawn keys must be >= 0, got {rest[rest < 0][0]}")
-    words, counts = [rest & _MASK32], np.ones(rest.shape, dtype=np.intp)
-    rest = rest >> 32
-    while rest.any():
-        counts += rest != 0
-        words.append(rest & _MASK32)
-        rest = rest >> 32
-    return np.array(words, dtype=np.uint32), counts
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_pool(master_seed: int) -> tuple:
-    """(pool, hash constant) of ``SeedSequence(master_seed, spawn_key=...)``
-    after the seed's own words, before the spawn key's.
+def _seed_schedule(master_seed: int) -> tuple:
+    """(pool, xor, mult, streams) of ``SeedSequence(master_seed,
+    spawn_key=(i, t, k))`` for one-word i and t, before the key's words.
 
-    The pool is that of ``SeedSequence(master_seed)``, which hashes missing
-    seed words as zeros just as a spawn key's zero padding does, as a
-    read-only (4, 1) uint32 column. The hash constant has advanced once per
-    pool word for each of the (at least four) seed words.
+    ``pool`` is ``SeedSequence(master_seed).pool``, which hashes missing seed
+    words as zeros just as a spawn key's zero padding does, (4, 1). Past the
+    (at least four) seed words, key word p (i, then t) is hashed for pool
+    word d as ``_hash(word, xor[p, d], mult[p, d])``, xor and mult (2, 4, 1),
+    and ``streams[d, k]`` is k so hashed as the third word, (4, 3, 1).
     """
     from numpy.random import SeedSequence
 
-    _, count = _words32([master_seed])
-    n_words = max(_POOL_SIZE, int(count[0]))
     pool = SeedSequence(master_seed).pool.reshape(_POOL_SIZE, 1)
     pool.flags.writeable = False
-    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
-
-
-@functools.lru_cache(maxsize=64)
-def _key_schedule(master_seed: int, n_words: int) -> tuple:
-    """(xor, mult, streams): what mixes a spawn key of ``n_words`` words and
-    then the stream number k into ``_seed_pool(master_seed)``.
-
-    Key word p is hashed for pool word d as ``_hash(word, xor[p, d],
-    mult[p, d])``, with xor and mult (n_words, 4, 1). ``streams[d, k]`` is
-    stream number k so hashed in the place after the key's words, (4, 3, 1);
-    it is the same for every key of ``n_words`` words. Read-only arrays.
-    """
-    _, hash_const = _seed_pool(master_seed)
-    consts = _schedule(hash_const, _MULT_A, _POOL_SIZE * (n_words + 1) + 1)
-    xor = consts[:-1].reshape(n_words + 1, _POOL_SIZE, 1)
-    mult = consts[1:].reshape(n_words + 1, _POOL_SIZE, 1)
-    streams = _hash(_STREAM_KEYS, xor[n_words, :, None], mult[n_words, :, None])
+    n_words = max(_POOL_SIZE, -(-int(master_seed).bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
+    consts = _schedule(hash_const, _MULT_A, 3 * _POOL_SIZE + 1)
+    xor, mult = consts[:-1].reshape(3, _POOL_SIZE, 1), consts[1:].reshape(3, _POOL_SIZE, 1)
+    # The third key word is the stream number k, one per column.
+    k = np.arange(len(_STREAMS), dtype=np.uint32)[:, None]
+    streams = _hash(k, xor[2, :, None], mult[2, :, None])
     streams.flags.writeable = False
-    return xor[:n_words], mult[:n_words], streams
+    return pool, xor[:2], mult[:2], streams
 
 
 def _stream_words(master_seed: int, sweep_indices, trials) -> np.ndarray:
@@ -388,31 +356,23 @@ def _stream_words(master_seed: int, sweep_indices, trials) -> np.ndarray:
 
     Returns (rows, 3, 4) uint64: row r, stream k holds
     ``SeedSequence(master_seed, spawn_key=(sweep_indices[r], trials[r],
-    k)).generate_state(4, np.uint64)``. The words are computed in one
-    vectorised pass with ``SeedSequence``'s 32-bit arithmetic, over the
-    rows, the pool words and the streams at once: every key word of every
-    row is hashed in one step, the hashes are mixed into the pool word by
-    word, then the stream numbers (hashed once per seed and key length,
-    ``_key_schedule``) and the readout. Rows whose sweep index and trial
-    have equal word counts (every row, below 2**32) go through together; a
-    row's words do not depend on the other rows.
+    k)).generate_state(4, np.uint64)``, for sweep indices and trials in
+    [0, 2**32): one key word each, as in every key a sweep makes. One
+    vectorised pass of ``SeedSequence``'s 32-bit arithmetic over the rows,
+    pool words and streams mixes both key words of every row into the seed's
+    pool, then the stream numbers (``_seed_schedule``), and reads the words
+    out. A row's words do not depend on the other rows.
     """
-    pool, _ = _seed_pool(master_seed)
-    words, counts = _words32((sweep_indices, trials))
-    width, _, rows = words.shape
-    out = np.empty((2 * _POOL_SIZE, len(_STREAMS), rows), dtype=np.uint32)
-    shapes = counts[0] * (width + 1) + counts[1]
-    for shape in np.flatnonzero(np.bincount(shapes)):
-        n_index, n_trial = divmod(int(shape), width + 1)
-        group = shapes == shape
-        # A row's key words: its sweep index's, then its trial's.
-        keys = np.concatenate((words[:n_index, 0], words[:n_trial, 1]))[:, None, group]
-        xor, mult, streams = _key_schedule(master_seed, n_index + n_trial)
-        mixed = pool
-        for hashed in _hash(keys, xor, mult):
-            mixed = _mix(mixed, hashed)
-        mixed = _mix(mixed[:, None], streams)
-        out[..., group] = _hash(mixed[_READ_FROM], _READOUT[:-1], _READOUT[1:])
+    keys = np.asarray((sweep_indices, trials))
+    bad = keys[(keys < 0) | (keys > _MASK32)]
+    if bad.size:
+        raise ValueError(f"sweep indices and trials must lie in [0, 2**32), got {bad[0]}")
+    pool, xor, mult, streams = _seed_schedule(master_seed)
+    mixed = pool
+    for hashed in _hash(keys.astype(np.uint32)[:, None], xor, mult):
+        mixed = _mix(mixed, hashed)
+    mixed = _mix(mixed[:, None], streams)
+    out = _hash(mixed[_READ_FROM], _READOUT[:-1], _READOUT[1:])
     # The eight 32-bit words of a stream, viewed as four uint64 as generate_state does.
     return np.ascontiguousarray(out.transpose(2, 1, 0)).view(np.uint64)
 
@@ -445,12 +405,19 @@ def _trial_rngs(master_seed: int, sweep_index: int, trial: int):
 
     Generator k is ``Generator(PCG64(SeedSequence(master_seed,
     spawn_key=(sweep_index, trial, k))))``, the k-th child ``spawn`` would
-    make of ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``.
-    Its state words are the one row of ``_stream_words`` for this trial,
-    the derivation a chunk runs for all of its rows.
+    make of ``SeedSequence(master_seed, spawn_key=(sweep_index, trial))``,
+    built by numpy itself. One trial alone is thus a reference for the
+    words ``_stream_words`` derives for a chunk.
     """
-    make = _generator_from_words()
-    return tuple(make(words) for words in _stream_words(master_seed, [sweep_index], [trial])[0])
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    smallest = min(master_seed, sweep_index, trial)
+    if smallest < 0:
+        raise ValueError(f"seeds and spawn keys must be >= 0, got {smallest}")
+    return tuple(
+        Generator(PCG64(SeedSequence(master_seed, spawn_key=(sweep_index, trial, k))))
+        for k in range(len(_STREAMS))
+    )
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,7 @@ class TestRunCommand:
             ("f_c_ghz", [2.4]),
             ("trials", [5]),
             ("tx", [0, 25, "a"]),
+            ("trials", 2**32 + 1),
         ],
     )
     def test_bad_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
@@ -166,6 +167,10 @@ class TestRunCommand:
         path.write_text(json.dumps(tiny_config_dict()))
         assert main(["run", "--config", str(path), "--seed", "-1"]) == 1
         assert "master_seed" in capsys.readouterr().err
+
+    def test_trials_flag_past_one_key_word_exits_one(self, capsys):
+        assert main(["preset", "fig4", "--trials", str(2**32 + 1)]) == 1
+        assert "trials" in capsys.readouterr().err
 
     def test_failed_points_reported_on_stderr(self, tmp_path, capsys):
         raw = tiny_config_dict()
@@ -228,9 +233,16 @@ class TestValidate:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "PASS trial generators match their SeedSequence keys" in out
-        assert "PASS float32 sign bits match integers(0, 2)" in out
-        assert "PASS chunk state words match their SeedSequence keys" in out
+        # Every check by name, so a dropped or renamed check fails here.
+        checks = [line.split(" (")[0] for line in out.splitlines()]
+        assert checks == [
+            "PASS near-field subdivision additivity",
+            "PASS near-field far-distance limit",
+            "PASS closed-form SNR beats grid search",
+            "PASS shipped correlation matrices are PSD",
+            "PASS float32 sign bits match integers(0, 2)",
+            "PASS chunk state words match their SeedSequence keys",
+        ]
 
 
 class TestBadUsage:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_paths
 from conftest import make_scenario
@@ -141,6 +141,7 @@ class TestConfig:
             ("n_elements", (64, 15)),
             ("n_elements", (-4,)),
             ("master_seed", -1),
+            ("trials", 2**32 + 1),
         ],
     )
     def test_rejects_bad_values_naming_the_key(self, key, value):
@@ -350,11 +351,11 @@ class TestRunExperiment:
             expected = np.random.Generator(np.random.PCG64(key))
             assert generator.bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 5])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 5, 2**128 + 3, 2**200 + 11])
     def test_stream_words_of_several_points_match_seed_sequence_row_for_row(self, seed):
-        # Rows of four sweep points in one call, keys of one and two words side by side.
-        indices = [0, 0, 3, 2**32 - 1, 2**32, 2**40, 2**40]
-        trials = [0, 2**32 - 1, 2**32, 5, 2**40, 1, 2**32]
+        # Rows of four sweep points in one call, keys at both ends of their range side by side.
+        indices = [0, 0, 3, 3, 2**32 - 1, 2**32 - 1, 7]
+        trials = [0, 2**32 - 1, 0, 5, 0, 2**32 - 1, 2**32 - 1]
         words = experiment._stream_words(seed, indices, trials)
         assert words.shape == (len(indices), 3, 4) and words.dtype == np.uint64
         for row, (index, trial) in enumerate(zip(indices, trials)):
@@ -363,14 +364,42 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(words[row, k], key.generate_state(4, np.uint64))
 
     def test_stream_words_of_a_row_do_not_depend_on_the_other_rows(self):
-        indices = np.repeat([4, 5, 2**32], 3)
-        trials = np.tile([0, 7, 2**40], 3)
+        indices = np.repeat([4, 5, 2**32 - 1], 3)
+        trials = np.tile([0, 7, 2**32 - 1], 3)
         words = experiment._stream_words(9, indices, trials)
         for row in range(len(indices)):
             alone = experiment._stream_words(9, indices[row : row + 1], trials[row : row + 1])
             np.testing.assert_array_equal(alone[0], words[row])
         reversed_rows = experiment._stream_words(9, indices[::-1], trials[::-1])
         np.testing.assert_array_equal(reversed_rows[::-1], words)
+
+    @pytest.mark.parametrize("key", [-1, 2**32])
+    def test_stream_words_reject_keys_outside_one_word(self, key):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            experiment._stream_words(0, [key, 0], [0, 0])
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            experiment._stream_words(0, [0, 0], [0, key])
+
+    @example(seed=0, index=0, trial=0)
+    @example(seed=2**32 - 1, index=2**32 - 1, trial=2**32 - 1)
+    @example(seed=2**32, index=0, trial=2**32 - 1)
+    @example(seed=2**128 - 1, index=2**32 - 1, trial=0)
+    @example(seed=2**128, index=0, trial=0)
+    @example(seed=2**160 - 1, index=2**32 - 1, trial=2**32 - 1)
+    @given(
+        seed=st.integers(0, 2**256 - 1),
+        index=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_stream_words_match_seed_sequence_for_any_seed_and_one_word_keys(
+        self, seed, index, trial
+    ):
+        # Seeds of 1, 2, 4 and 5 words among the examples; the row sits between others.
+        words = experiment._stream_words(seed, [0, index, 1], [1, trial, 0])
+        for k in range(3):
+            key = np.random.SeedSequence(seed, spawn_key=(index, trial, k))
+            np.testing.assert_array_equal(words[1, k], key.generate_state(4, np.uint64))
 
     @pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_trial_rngs_reject_negative_seeds_and_keys(self, args):
