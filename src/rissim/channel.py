@@ -7,14 +7,15 @@ All stochastic links are narrowband: cluster delays only shape the power and
 angle statistics, and the output is a single complex coefficient per element.
 
 A stochastic link's constants (``_Link``) are computed once per sweep point.
-A chunk is generated in two phases: ``_Link.draw`` draws each trial's LOS
-state, and ``_Link.draw_rows``, the one statement of the draw order, writes
-the rest of the draws of all rows in one LOS state into blocks with a row
-axis; ``_Link.map_draws`` then feeds the blocks to the stages' pure
-mappings, and assembly writes each row's channel into its place. A row is
-one link-trial. It brings its own link's
-path loss without shadow fading and LOS direction, and shares everything
-else with the pass, so one pass maps the Tx-RIS and far-field RIS-Rx trials
+A row is one link-trial, a ``(link, generator)`` pair: a trial of its link
+drawn from its own RNG stream. Rows are generated in two phases:
+``_Link.draw`` draws each row's LOS state, then ``_Link.map_draws`` maps the
+rows of one LOS state in one pass. In it ``_Link.draw_rows``, the one
+statement of the draw order, writes the rest of the rows' draws into blocks
+with a row axis, the stages' pure mappings map the blocks, and assembly
+writes each row's channel into its place. A row brings its own link's path
+loss without shadow fading and LOS direction, and shares everything else
+with the pass, so one pass maps the Tx-RIS and far-field RIS-Rx trials
 of every point of a sweep unit (consecutive points with equal element count
 and regime, see ``experiment._units``). Every mapping works row by row, so a
 row's channel does not depend on the rows beside it. ``_Link.generate`` runs
@@ -25,7 +26,6 @@ trial's draws as a set of one row and also returns the trial's metadata.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -99,11 +99,14 @@ def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     each row's copy of its point's |g|, but these are made after the panel
     rows are generated and assembly's working set is freed, so they are not
     counted. At one trial per point, tracemalloc measured a 29-point fig5b
-    chunk at N = 1024 at 0.78-0.88 MiB while generating and no more in all,
-    and a 14-point one at N = 4096 at 1.14-1.33 MiB while generating and
-    1.33 MiB in all (the h rows, each point's |g| and the copies). Link
-    evaluation's products take a fixed block. The estimate depends on the
-    point alone, never on ``workers``.
+    chunk at N = 1024 at 0.78-0.88 MiB while generating, and a 14-point one
+    at N = 4096 at 1.14-1.33 MiB (the h rows, each point's |g| and the
+    copies). Nor is link evaluation counted: on top of the chunk's rows it
+    holds two T x N float64 temporaries, |h| and its product with |g|.
+    tracemalloc measured a chunk and its evaluation at N = 4096, 14 trials
+    each, at 1.41 MiB in all for fig4 (1.14 MiB while generating) and 1.75
+    MiB for the fig5b unit. The estimate depends on the point alone, never
+    on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
@@ -142,16 +145,6 @@ class ChannelRealization:
     g_regime: FieldRegime
     h_siso: complex
     metadata: dict
-
-
-def _resolve_params(
-    env: Environment,
-    los: bool,
-    overrides: Optional[Mapping[bool, ScenarioParams]],
-) -> ScenarioParams:
-    if overrides is not None and los in overrides:
-        return overrides[los]
-    return load_scenario_params(env, los)
 
 
 def _assemble_panel_channel(
@@ -270,12 +263,13 @@ class _Link:
     carries none of them. ``pl_db`` is the path loss in dB without shadow
     fading, per LOS state.
 
-    A mapping pass takes link-trial rows: row i is a trial of its own link.
-    A row's link gives the pass only its ``row_constants``: ``pl_db`` and the
-    LOS direction. The environment, scenario tables, panel side and spacing,
-    pattern, convention and wavelength are the first row's and must be those
-    of every row. The Tx-RIS and far-field RIS-Rx links of the points of one
-    sweep unit share them, and so do its direct links.
+    A mapping pass takes link-trial rows: row i is a ``(link, generator)``
+    pair, a trial of its own link drawn from its own stream. A row's link
+    gives the pass only its ``pl_db`` and LOS direction. The environment,
+    scenario tables, panel side and spacing, pattern, convention and
+    wavelength are the first row's and must be those of every row. The
+    Tx-RIS and far-field RIS-Rx links of the points of one sweep unit share
+    them, and so do its direct links.
     """
 
     kind: str
@@ -290,22 +284,13 @@ class _Link:
     convention: str = "reference"
     wavelength_m: float = 0.0
 
-    @functools.cached_property
-    def row_constants(self) -> dict:
-        """What a row of this link gives a mapping pass, per LOS state: the
-        path loss in dB without shadow fading, then on a panel link the LOS
-        zenith and azimuth in degrees."""
-        direction = self.los_direction
-        angles = () if direction is None else (direction.zenith_deg, direction.azimuth_deg)
-        return {los: (pl_db,) + angles for los, pl_db in self.pl_db.items()}
-
-    def draw(self, rng: np.random.Generator) -> tuple[bool, np.random.Generator]:
-        """A trial's LOS state, the first value of its stream, and ``rng``.
+    def draw(self, rng: np.random.Generator) -> bool:
+        """A trial's LOS state, the first value of its stream ``rng``.
 
         ``draw_rows`` takes the rest of the trial's stream from ``rng`` once
         the rows of its LOS state are known.
         """
-        return self.forced_los or bool(rng.random() < self.los_probability), rng
+        return self.forced_los or bool(rng.random() < self.los_probability)
 
     @staticmethod
     def draw_rows(los: bool, rows: list) -> list:
@@ -358,10 +343,11 @@ class _Link:
         return [lsp, delay, shadow, *angles, phase]
 
     @staticmethod
-    def map_draws(rows: list, los: bool, blocks: list, out=None) -> tuple:
+    def map_draws(rows: list, los: bool, out=None) -> tuple:
         """(channel, path loss dB, LSPs, cluster set) of link-trial rows in one LOS state.
 
-        ``rows[i]`` is the link of row i and ``blocks`` are the rows' draw
+        ``rows[i]`` is a ``(link, rng)`` pair whose LOS state ``draw`` has
+        drawn as ``los``. The rows draw the rest of their streams into draw
         blocks (``draw_rows``), each with a leading row axis, which every
         result carries: the channel is (T, N) for panel links and (T,) for
         direct links, whose cluster set is None. A panel link's channel is
@@ -369,17 +355,14 @@ class _Link:
         (N,) vector; real vectors get magnitudes) and returned as ``out``;
         its cluster set is then None too, since none is kept while assembly
         runs. Every stage maps each row alone, so a row's values do not
-        depend on the other rows. Empties ``blocks``, so each block is freed
-        once it is mapped.
+        depend on the other rows.
         """
-        link = rows[0]
+        link = rows[0][0]
         params = link.params[los]
         s = params.rays_per_cluster
-        lsp, delay, shadow, *angles, phase = blocks
-        blocks.clear()
+        lsp, delay, shadow, *angles, phase = _Link.draw_rows(los, rows)
         lsps = lsps_from_normals(params, lsp)
-        constants = np.array([row.row_constants[los] for row in rows])
-        pl_db = constants[:, 0] + lsps.sf_db
+        pl_db = np.array([r.pl_db[los] for r, _ in rows]) + lsps.sf_db
         delays = delays_from_uniforms(params.delay_scaling, lsps.ds_s, delay)
         powers = powers_from_normals(
             delays,
@@ -400,7 +383,8 @@ class _Link:
             rays *= np.sqrt(powers[..., None] / s)
             value = rays.reshape(rays.shape[:-2] + (-1,)).sum(axis=-1) / np.sqrt(pl_linear)
             return value, pl_db, lsps, None
-        los_zenith, los_azimuth = constants.T[1:, :, None]
+        directions = [(r.los_direction.zenith_deg, r.los_direction.azimuth_deg) for r, _ in rows]
+        los_zenith, los_azimuth = np.array(directions).T[:, :, None]
         zenith, azimuth = ray_angles_from(
             link.env, powers, lsps, los_zenith, los_azimuth, los, params, *angles
         )
@@ -419,39 +403,35 @@ class _Link:
     def generate(rows: list) -> tuple[np.ndarray, np.ndarray]:
         """(LOS states, channels) of link-trial rows, in row order.
 
-        ``rows`` holds a ``(link, link.draw(rng))`` pair per row. The rows of
-        each LOS state draw the rest of their streams into that state's
-        blocks (``draw_rows``), which one pass maps, writing each panel row's
-        channel straight into its place: the states are (T,), the channels
-        (T, N) or (T,). A panel row holds the magnitudes |h_n| of its
-        channel, 8 bytes per element, since the optimal-phase SNR
-        (``evaluate_link``) reads no element phase; a direct row stays
-        complex. One LOS state's blocks are held at a time. Empties ``rows``.
+        ``rows`` holds a ``(link, rng)`` pair per row. Each row draws its LOS
+        state (``draw``); then the rows of each LOS state go through one pass
+        (``map_draws``), which writes each panel row's channel straight into
+        its place: the states are (T,), the channels (T, N) or (T,). A panel
+        row holds the magnitudes |h_n| of its channel, 8 bytes per element,
+        since the optimal-phase SNR (``evaluate_link``) reads no element
+        phase; a direct row stays complex. One LOS state's draw blocks are
+        held at a time.
         """
-        los = np.array([state for _, (state, _) in rows], dtype=bool)
+        los = np.array([link.draw(rng) for link, rng in rows], dtype=bool)
         panel = rows[0][0].panel
         if panel is None:
             values = np.empty(los.shape, dtype=complex)
         else:
             values = np.empty((los.size, panel.n_elements))
-        pending = [(link, rng) for link, (_, rng) in rows]
-        rows.clear()
         for state in (True, False):
             index = np.flatnonzero(los == state)
             if index.size:
-                blocks = _Link.draw_rows(state, [pending[i] for i in index])
-                links = [pending[i][0] for i in index]
+                subset = [rows[i] for i in index]
                 if panel is None:
-                    values[index] = _Link.map_draws(links, state, blocks)[0]
+                    values[index] = _Link.map_draws(subset, state)[0]
                 else:
-                    _Link.map_draws(links, state, blocks, out=[values[i] for i in index])
+                    _Link.map_draws(subset, state, out=[values[i] for i in index])
         return los, values
 
     def one_trial(self, rng: np.random.Generator) -> tuple:
         """(channel, ``LinkMetadata``) of one trial drawn from ``rng``: one row."""
-        los, rng = self.draw(rng)
-        blocks = self.draw_rows(los, [(self, rng)])
-        value, pl_db, lsps, clusters = self.map_draws([self], los, blocks)
+        los = self.draw(rng)
+        value, pl_db, lsps, clusters = self.map_draws([(self, rng)], los)
         clusters = None if clusters is None else _trial_of(clusters, 0)
         return value[0], LinkMetadata(
             kind=self.kind,
@@ -475,6 +455,12 @@ def _path_losses(
     """Path loss in dB without shadow fading, per LOS state the link can be in."""
     states = (True,) if forced_los else (True, False)
     return {los: path_loss_db(env, los, d3d, carrier.f_c_ghz, h_ut=h_ut) for los in states}
+
+
+def _scenario_tables(env: Environment, overrides: Optional[Mapping[bool, ScenarioParams]]) -> dict:
+    """Scenario tables per LOS state: the override's where given, else the environment's."""
+    overrides = overrides or {}
+    return {los: overrides.get(los) or load_scenario_params(env, los) for los in (True, False)}
 
 
 def _panel_link(
@@ -511,7 +497,7 @@ def _panel_link(
         forced_los=forced,
         los_probability=1.0 if forced else los_probability(env, distance_2d(terminal, center)),
         pl_db=_path_losses(env, d3d, carrier, center.z - 1.0, forced),
-        params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
+        params=_scenario_tables(env, scenario_overrides),
         panel=panel,
         los_direction=los_angles(panel, terminal),
         pattern=pattern,
@@ -537,7 +523,7 @@ def _direct_link(
         forced_los=False,
         los_probability=los_probability(env, distance_2d(tx, rx)),
         pl_db=_path_losses(env, d3d, carrier, rx.z),
-        params={los: _resolve_params(env, los, scenario_overrides) for los in (True, False)},
+        params=_scenario_tables(env, scenario_overrides),
     )
 
 

@@ -69,8 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     seed = config.master_seed
-    if os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
+    text = os.environ.get(SEED_ENV_VAR)
+    if text:
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be a whole number, got {text!r}") from None
     if args.seed is not None:
         seed = args.seed
     trials = args.trials if args.trials is not None else config.trials

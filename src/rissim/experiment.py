@@ -516,30 +516,24 @@ def _chunk(parts: list) -> _Chunk:
     ``parts`` holds ``(point channels, trials)`` pairs of points with equal
     element count and regime; the chunk's rows are each part's trials in
     order. Every trial draws from its own RNG streams, whose state words one
-    ``_stream_words`` call derives for all rows; a generator is made only for
-    a link the point has. Then the Tx-RIS and far-field RIS-Rx rows of every
-    point go through one mapping pass per LOS state, and the direct rows
-    through another.
+    ``_stream_words`` call derives for all rows; each stream of a link the
+    point has becomes a ``(link, generator)`` row. Then the Tx-RIS and
+    far-field RIS-Rx rows of every point go through one mapping pass per LOS
+    state, and the direct rows through another.
     """
+    sizes = [len(trials) for _, trials in parts]
     words = _stream_words(
         parts[0][0].config.master_seed,
-        np.repeat([channels.sweep_index for channels, _ in parts], [len(t) for _, t in parts]),
+        np.repeat([channels.sweep_index for channels, _ in parts], sizes),
         np.concatenate([np.asarray(trials) for _, trials in parts]),
     )
     make = _generator_from_words()
     rows = {kind: [] for kind in _STREAMS}
-    first = 0
-    for channels, trials in parts:
-        # Only the streams of the point's links are made into generators.
-        drawn = [
-            (k, channels.links[kind], rows[kind])
-            for k, kind in enumerate(_STREAMS)
-            if channels.links[kind] is not None
-        ]
-        for trial_words in words[first : first + len(trials)]:
-            for k, link, out in drawn:
-                out.append((link, link.draw(make(trial_words[k]))))
-        first += len(trials)
+    for (channels, _), part_words in zip(parts, np.split(words, np.cumsum(sizes)[:-1])):
+        for k, kind in enumerate(_STREAMS):
+            link = channels.links[kind]
+            if link is not None:
+                rows[kind] += [(link, make(w)) for w in part_words[:, k]]
     los = dict.fromkeys(_STREAMS)
     los["tx_rx"], h_siso = _Link.generate(rows.pop("tx_rx"))
     n_h = len(rows["tx_ris"])

@@ -78,11 +78,6 @@ def achievable_rate(snr_linear):
     return np.log2(1.0 + snr_linear)
 
 
-# Elements of |h| |g| that link evaluation holds at once: whole trials, at
-# least one. A trial's sum is the same in any block.
-_PRODUCT_BLOCK = 8192
-
-
 def evaluate_link(
     h: np.ndarray, g: np.ndarray, h_siso: complex, budget: LinkBudget
 ) -> LinkResult:
@@ -90,23 +85,16 @@ def evaluate_link(
 
     Optimal phases align every reflected term with the direct path, so the
     SNR has the closed form p_t * (|h_siso| + sum_n |h_n| |g_n|)^2 / n_0.
-    With (T, N) channels and T direct channels every field is a (T,) array.
-    The products |h_n| |g_n| are formed in blocks of whole trials, so no
-    temporary grows with the number of trials.
+    With (T, N) channels and T direct channels every field is a (T,) array;
+    the products take two (T, N) float64 temporaries, bounded by the caller's
+    chunk of trials.
     """
     if np.shape(h) != np.shape(g):
         raise ValueError("h and g must have equal length")
     direct = np.abs(h_siso)
-    *lead, n = np.shape(h)
-    sums = np.empty(lead)
-    sum_rows = sums.reshape(-1)
-    h_rows, g_rows = np.reshape(h, (sum_rows.size, n)), np.reshape(g, (sum_rows.size, n))
-    step = max(1, _PRODUCT_BLOCK // max(n, 1))
-    for lo in range(0, sum_rows.size, step):
-        product = np.abs(h_rows[lo : lo + step])
-        product *= np.abs(g_rows[lo : lo + step])
-        np.sum(product, axis=-1, out=sum_rows[lo : lo + step])
-    ris_path = sums[()]
+    product = np.abs(h)
+    product *= np.abs(g)
+    ris_path = product.sum(axis=-1)
     snr = budget.p_t_mw * (direct + ris_path) ** 2 / budget.n_0_mw
     return LinkResult(
         snr_linear=snr,

@@ -505,7 +505,7 @@ class TestStreamContract:
         seeds = range(60)
         references = [np.random.default_rng(seed) for seed in seeds]
         expected = [reference_paths.link_draws(link, rng) for rng in references]
-        drawn = [link.draw(np.random.default_rng(seed)) for seed in seeds]
+        drawn = [(link.draw(rng), rng) for rng in map(np.random.default_rng, seeds)]
         assert [los for los, _ in drawn] == [los for los, _ in expected]
         states = {los for los, _ in drawn}
         assert states == ({True} if link.forced_los else {True, False})

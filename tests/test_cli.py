@@ -90,6 +90,13 @@ class TestPresetCommand:
         main(["preset", "fig3a", "--trials", "3", "--seed", "7", "--output", str(flagged)])
         assert ",7\n" in flagged.read_text()
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_bad_seed_env_variable_names_it(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("RIS_SIM_SEED", value)
+        assert main(["preset", "fig3a", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: RIS_SIM_SEED must be a whole number, got {value!r}" in err
+
 
 class TestRunCommand:
     def test_run_config_file(self, tmp_path, capsys):

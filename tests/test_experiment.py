@@ -547,7 +547,7 @@ class TestFastPathMatchesReference:
             overrides,
         )
         seeds = range(40)
-        _, values = link.generate([(link, link.draw(np.random.default_rng(s))) for s in seeds])
+        _, values = link.generate([(link, np.random.default_rng(s)) for s in seeds])
         shadowed = []
         for i, seed in enumerate(seeds):
             ref_h, ref_state, ref_clusters = reference_paths.tx_ris_channel(
@@ -633,6 +633,9 @@ class TestUnits:
             # Twenty-three trials fit a chunk at N=1024 in the far field.
             (replace(figure_presets()["fig5a"], trials=2), [11] * 30),
             (replace(figure_presets()["fig5a"], trials=3), [7] * 47 + [1]),
+            # Two points join only if 2 * trials <= 23: at most 11 trials each.
+            (replace(figure_presets()["fig5a"], trials=11), [2] * 165),
+            (replace(figure_presets()["fig5a"], trials=12), [1] * 330),
             # A near-field unit is as wide as a point's own chunk: 29 trials at N=1024.
             (replace(figure_presets()["fig5b"], trials=1), [29, 1]),
             # Every point differs in N, or is the no-RIS point at another power.
@@ -641,7 +644,7 @@ class TestUnits:
             (small_config(n_elements=(64,), ris_y_sweep=(49.0, 50.0, 52.0, 53.0),
                           regime_override=None, trials=4), [2, 2]),
         ],
-        ids=["fig5a-2", "fig5a-3", "fig5b-1", "fig4-1", "regime-switch"],
+        ids=["fig5a-2", "fig5a-3", "fig5a-11", "fig5a-12", "fig5b-1", "fig4-1", "regime-switch"],
     )
     def test_units_join_runs_of_one_size_regime_and_power(self, config, sizes):
         units = experiment._units(config)

@@ -191,7 +191,7 @@ class TestTrialAxisProperties:
         self.check_magnitudes(*channels)
 
     def test_magnitudes_give_the_same_results_bit_for_bit_across_product_blocks(self, rng):
-        # At N=1024 a product block holds 8 of the 20 trials.
+        # All 20 trials at N=1024 go through one (20, 1024) product.
         h, g, _ = random_channels(rng, (20, 1024))
         self.check_magnitudes(h, g, rng.standard_normal(20) + 1j * rng.standard_normal(20))
 
