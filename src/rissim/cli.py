@@ -67,21 +67,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    seed = config.master_seed
-    text = os.environ.get(SEED_ENV_VAR)
-    if text:
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be a whole number, got {text!r}") from None
-    if args.seed is not None:
-        seed = args.seed
-    trials = args.trials if args.trials is not None else config.trials
-    return replace(config, master_seed=seed, trials=trials)
+def _sweep(args) -> int:
+    """Read the config or preset, apply the overrides, check ``--output``, run and write.
 
-
-def _run_and_emit(config: ExperimentConfig, args) -> int:
+    Everything but the sweep itself is checked first, so bad input exits 1
+    before any work; the output file is written only once the sweep is done.
+    """
+    try:
+        if args.verb == "run":
+            with open(args.config, "r") as f:
+                config = ExperimentConfig.from_dict(json.load(f))
+        else:
+            presets = figure_presets()
+            if args.name not in presets:
+                raise ValueError(
+                    f"unknown preset {args.name!r}; available: {', '.join(sorted(presets))}"
+                )
+            config = presets[args.name]
+        seed = config.master_seed
+        text = os.environ.get(SEED_ENV_VAR)
+        if text:
+            try:
+                seed = int(text)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV_VAR} must be a whole number, got {text!r}") from None
+        if args.seed is not None:
+            seed = args.seed
+        trials = args.trials if args.trials is not None else config.trials
+        config = replace(config, master_seed=seed, trials=trials)
+        if args.output and os.path.isdir(args.output):
+            raise ValueError(f"--output {args.output!r} is a directory")
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise ValueError(f"--output {args.output!r} is in a directory that does not exist")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         stats = run_experiment(config, workers=args.workers)
         failed = [row for row in stats.rows if row.error is not None]
@@ -99,33 +119,6 @@ def _run_and_emit(config: ExperimentConfig, args) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    try:
-        with open(args.config, "r") as f:
-            config = ExperimentConfig.from_dict(json.load(f))
-        config = _apply_overrides(config, args)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    return _run_and_emit(config, args)
-
-
-def _cmd_preset(args) -> int:
-    presets = figure_presets()
-    if args.name not in presets:
-        print(
-            f"unknown preset {args.name!r}; available: {', '.join(sorted(presets))}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    try:
-        config = _apply_overrides(presets[args.name], args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    return _run_and_emit(config, args)
 
 
 def _cmd_list_presets() -> int:
@@ -232,10 +225,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; report config errors as 1.
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG_ERROR
-    if args.verb == "run":
-        return _cmd_run(args)
-    if args.verb == "preset":
-        return _cmd_preset(args)
+    if args.verb in ("run", "preset"):
+        return _sweep(args)
     if args.verb == "validate":
         return _cmd_validate()
     return _cmd_list_presets()

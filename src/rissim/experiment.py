@@ -19,8 +19,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from itertools import repeat
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -764,6 +763,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     products of one trial are too small to gain from more, and the caller's
     thread count is restored afterwards.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     # Units are popped in index order from the end of the reversed list, so
     # a unit's connected points (its links' constants) are freed once it ran.
     units = _units(config)[::-1]
@@ -804,30 +805,35 @@ def figure_presets() -> dict:
     sweeps run at 5.8 GHz with N = 1024 in forced far-field (fig5a) and
     forced near-field (fig5b) regimes.
     """
-    presets = {
-        "fig3a": ExperimentConfig(
-            name="fig3a",
-            environment=Environment.INH,
-            f_c_ghz=2.4,
-            tx=Point3(0, 25, 3),
-            rx=Point3(40, 48, 1.5),
-            ris_center=Point3(38, 50, 3),
-            ris_z_sweep=(2.0, 3.0),
-            n_elements=(64, 256, 1024),
-            boresight="-y",
-            regime_override=FieldRegime.NEAR_FIELD,
-        ),
-        "fig3b": ExperimentConfig(
-            name="fig3b",
-            environment=Environment.INH,
-            f_c_ghz=2.4,
-            tx=Point3(0, 25, 3),
-            rx=Point3(67, 45, 1.5),
-            ris_center=Point3(70, 50, 3),
-            ris_z_sweep=(2.0, 3.0),
-            n_elements=(64, 256, 1024),
-            boresight="-y",
-            regime_override=FieldRegime.NEAR_FIELD,
+    fig3a = ExperimentConfig(
+        name="fig3a",
+        environment=Environment.INH,
+        f_c_ghz=2.4,
+        tx=Point3(0, 25, 3),
+        rx=Point3(40, 48, 1.5),
+        ris_center=Point3(38, 50, 3),
+        ris_z_sweep=(2.0, 3.0),
+        n_elements=(64, 256, 1024),
+        boresight="-y",
+        regime_override=FieldRegime.NEAR_FIELD,
+    )
+    fig5a = ExperimentConfig(
+        name="fig5a",
+        environment=Environment.UMI,
+        f_c_ghz=5.8,
+        tx=Point3(0, 25, 10),
+        rx=Point3(100, 50, 1),
+        ris_center=Point3(70, 60, 7),
+        ris_x_sweep=_grid(40.0, 98.0, 2.0),
+        ris_y_sweep=_grid(52.0, 73.0, 2.0),
+        n_elements=(1024,),
+        boresight="-y",
+        regime_override=FieldRegime.FAR_FIELD,
+    )
+    return {
+        "fig3a": fig3a,
+        "fig3b": replace(
+            fig3a, name="fig3b", rx=Point3(67, 45, 1.5), ris_center=Point3(70, 50, 3)
         ),
         "fig4": ExperimentConfig(
             name="fig4",
@@ -840,31 +846,13 @@ def figure_presets() -> dict:
             boresight="-y",
             no_ris_baseline_extra_db=10.0,
         ),
-        "fig5a": ExperimentConfig(
-            name="fig5a",
-            environment=Environment.UMI,
-            f_c_ghz=5.8,
-            tx=Point3(0, 25, 10),
-            rx=Point3(100, 50, 1),
-            ris_center=Point3(70, 60, 7),
-            ris_x_sweep=_grid(40.0, 98.0, 2.0),
-            ris_y_sweep=_grid(52.0, 73.0, 2.0),
-            n_elements=(1024,),
-            boresight="-y",
-            regime_override=FieldRegime.FAR_FIELD,
-        ),
-        "fig5b": ExperimentConfig(
+        "fig5a": fig5a,
+        "fig5b": replace(
+            fig5a,
             name="fig5b",
-            environment=Environment.UMI,
-            f_c_ghz=5.8,
-            tx=Point3(0, 25, 10),
-            rx=Point3(100, 50, 1),
             ris_center=Point3(96, 56, 7),
             ris_x_sweep=_grid(90.0, 100.0, 2.0),
             ris_y_sweep=_grid(52.0, 60.0, 2.0),
-            n_elements=(1024,),
-            boresight="-y",
             regime_override=FieldRegime.NEAR_FIELD,
         ),
     }
-    return presets

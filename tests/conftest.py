@@ -104,5 +104,5 @@ def forced_pool(monkeypatch):
 
     monkeypatch.setattr(experiment, "_POOL_MIN_SECONDS", 0.0)
     monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
     return sizes

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from rissim import cli
 from rissim.cli import main
 from rissim.experiment import ExperimentConfig, figure_presets
 from rissim.geometry import Point3
@@ -19,6 +20,10 @@ def quiet_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         yield
+
+
+def no_sweep(config, workers):
+    raise AssertionError("the sweep ran")
 
 
 def tiny_config_dict():
@@ -72,11 +77,31 @@ class TestPresetCommand:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == shown.encode()
 
-    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
         out = tmp_path / "missing" / "out.csv"
+        assert main(["preset", "fig3a", "--trials", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --output" in err and "does not exist" in err
+        assert not out.parent.exists()
+
+    def test_output_naming_a_directory_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        assert main(["preset", "fig3a", "--trials", "1", "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --output" in err and "is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sweep_leaves_the_output_file_untouched(self, tmp_path, capsys, monkeypatch):
+        def broken_sweep(config, workers):
+            raise RuntimeError("sweep broke")
+
+        monkeypatch.setattr(cli, "run_experiment", broken_sweep)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier,result\n")
         assert main(["preset", "fig3a", "--trials", "1", "--output", str(out)]) == 2
-        assert "runtime error" in capsys.readouterr().err
-        assert not out.exists()
+        assert "runtime error: sweep broke" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier,result\n"
 
     def test_seed_env_variable_override(self, tmp_path, monkeypatch):
         base = tmp_path / "base.csv"

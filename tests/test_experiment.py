@@ -416,6 +416,19 @@ class TestRunExperiment:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        package_root = os.path.dirname(os.path.dirname(experiment.__file__))
+        code = (
+            "import sys, rissim, rissim.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": package_root}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize(
         "preset, index, rate, snr_db",
         [
@@ -957,7 +970,7 @@ def inline_pool(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiment, "_POOL_MIN_SECONDS", 0.0)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -981,7 +994,7 @@ class TestPoolChoice:
     def test_small_preset_sweep_starts_no_pool(self, monkeypatch):
         config = replace(figure_presets()["fig4"], trials=5)
         serial = run_experiment(config, workers=1)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         stats = run_experiment(config, workers=2)
         assert stats.to_csv_text() == serial.to_csv_text()
 
@@ -1143,10 +1156,86 @@ class TestOutputs:
         assert json.loads(json_path.read_text())["preset"] == "unit"
 
 
+PRESET_DEFAULTS = {
+    "ris_x_sweep": None,
+    "ris_y_sweep": None,
+    "ris_z_sweep": None,
+    "spacing_m": None,
+    "boresight": "-y",
+    "p_t_dbm": 20.0,
+    "n_0_dbm": -130.0,
+    "trials": 2000,
+    "master_seed": 2024,
+    "regime_override": None,
+    "no_ris_baseline_extra_db": None,
+    "element_pattern_q": 0.285,
+    "steering_convention": "reference",
+}
+
+PRESET_FIELDS = {
+    "fig3a": {
+        "environment": "InH",
+        "f_c_ghz": 2.4,
+        "tx": [0, 25, 3],
+        "rx": [40, 48, 1.5],
+        "ris_center": [38, 50, 3],
+        "n_elements": [64, 256, 1024],
+        "ris_z_sweep": [2.0, 3.0],
+        "regime_override": "near_field",
+    },
+    "fig3b": {
+        "environment": "InH",
+        "f_c_ghz": 2.4,
+        "tx": [0, 25, 3],
+        "rx": [67, 45, 1.5],
+        "ris_center": [70, 50, 3],
+        "n_elements": [64, 256, 1024],
+        "ris_z_sweep": [2.0, 3.0],
+        "regime_override": "near_field",
+    },
+    "fig4": {
+        "environment": "UMi",
+        "f_c_ghz": 2.4,
+        "tx": [0, 25, 10],
+        "rx": [65, 52, 1],
+        "ris_center": [62, 55, 7],
+        "n_elements": [16, 64, 256, 1024, 4096],
+        "no_ris_baseline_extra_db": 10.0,
+    },
+    "fig5a": {
+        "environment": "UMi",
+        "f_c_ghz": 5.8,
+        "tx": [0, 25, 10],
+        "rx": [100, 50, 1],
+        "ris_center": [70, 60, 7],
+        "n_elements": [1024],
+        "ris_x_sweep": [40.0 + 2.0 * i for i in range(30)],
+        "ris_y_sweep": [52.0 + 2.0 * i for i in range(11)],
+        "regime_override": "far_field",
+    },
+    "fig5b": {
+        "environment": "UMi",
+        "f_c_ghz": 5.8,
+        "tx": [0, 25, 10],
+        "rx": [100, 50, 1],
+        "ris_center": [96, 56, 7],
+        "n_elements": [1024],
+        "ris_x_sweep": [90.0, 92.0, 94.0, 96.0, 98.0, 100.0],
+        "ris_y_sweep": [52.0, 54.0, 56.0, 58.0, 60.0],
+        "regime_override": "near_field",
+    },
+}
+
+
 class TestPresets:
     def test_five_presets_exist(self):
         presets = figure_presets()
         assert set(presets) == {"fig3a", "fig3b", "fig4", "fig5a", "fig5b"}
+
+    @pytest.mark.parametrize("name", list(PRESET_FIELDS))
+    def test_every_field_of_the_preset(self, name):
+        expected = {"name": name, **PRESET_DEFAULTS, **PRESET_FIELDS[name]}
+        assert figure_presets()[name].to_dict() == expected
 
     def test_fig3a_coordinates(self):
         config = figure_presets()["fig3a"]
