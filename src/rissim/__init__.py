@@ -19,7 +19,7 @@ from .experiment import (
     run_experiment,
 )
 from .geometry import CarrierConfig, PanelGeometry, Point3
-from .largescale import Environment, load_scenario_params, load_scenario_params_file
+from .largescale import Environment, load_scenario_params
 from .link import LinkBudget, evaluate_link
 
 __version__ = "0.1.0"

@@ -457,10 +457,9 @@ def _path_losses(
     return {los: path_loss_db(env, los, d3d, carrier.f_c_ghz, h_ut=h_ut) for los in states}
 
 
-def _scenario_tables(env: Environment, overrides: Optional[Mapping[bool, ScenarioParams]]) -> dict:
-    """Scenario tables per LOS state: the override's where given, else the environment's."""
-    overrides = overrides or {}
-    return {los: overrides.get(los) or load_scenario_params(env, los) for los in (True, False)}
+def _scenario_tables(env: Environment) -> dict:
+    """The environment's scenario tables per LOS state."""
+    return {los: load_scenario_params(env, los) for los in (True, False)}
 
 
 def _panel_link(
@@ -471,7 +470,6 @@ def _panel_link(
     carrier: CarrierConfig,
     pattern: Optional[ElementPattern],
     convention: str,
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
 ) -> _Link:
     """Constants of the Tx-RIS or far-field RIS-Rx link.
 
@@ -497,7 +495,7 @@ def _panel_link(
         forced_los=forced,
         los_probability=1.0 if forced else los_probability(env, distance_2d(terminal, center)),
         pl_db=_path_losses(env, d3d, carrier, center.z - 1.0, forced),
-        params=_scenario_tables(env, scenario_overrides),
+        params=_scenario_tables(env),
         panel=panel,
         los_direction=los_angles(panel, terminal),
         pattern=pattern,
@@ -506,13 +504,7 @@ def _panel_link(
     )
 
 
-def _direct_link(
-    env: Environment,
-    tx: Point3,
-    rx: Point3,
-    carrier: CarrierConfig,
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
-) -> _Link:
+def _direct_link(env: Environment, tx: Point3, rx: Point3, carrier: CarrierConfig) -> _Link:
     """Constants of the Tx-Rx link: drawn LOS only, Rx height for UMi NLOS."""
     d3d = distance_3d(tx, rx)
     if d3d == 0.0:
@@ -523,7 +515,7 @@ def _direct_link(
         forced_los=False,
         los_probability=los_probability(env, distance_2d(tx, rx)),
         pl_db=_path_losses(env, d3d, carrier, rx.z),
-        params=_scenario_tables(env, scenario_overrides),
+        params=_scenario_tables(env),
     )
 
 
@@ -536,7 +528,6 @@ def tx_ris_channel(
     *,
     pattern: Optional[ElementPattern] = ElementPattern(),
     convention: str = "reference",
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
 ) -> tuple[np.ndarray, LinkMetadata]:
     """Generate the stochastic Tx-RIS channel vector h, shape (N,).
 
@@ -546,7 +537,7 @@ def tx_ris_channel(
     carries ``fully_shadowed=True``. Emits a warning (not an error) when the
     Tx sits inside the panel's Fraunhofer distance.
     """
-    link = _panel_link("tx_ris", env, tx, panel, carrier, pattern, convention, scenario_overrides)
+    link = _panel_link("tx_ris", env, tx, panel, carrier, pattern, convention)
     return link.one_trial(rng)
 
 
@@ -559,7 +550,6 @@ def ris_rx_farfield(
     *,
     pattern: Optional[ElementPattern] = ElementPattern(),
     convention: str = "reference",
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
 ) -> tuple[np.ndarray, LinkMetadata]:
     """Generate the stochastic far-field RIS-Rx channel vector g, shape (N,).
 
@@ -567,18 +557,12 @@ def ris_rx_farfield(
     departure angles at the panel follow the same distributions as the
     arrival angles of the Tx-RIS link.
     """
-    link = _panel_link("ris_rx", env, rx, panel, carrier, pattern, convention, scenario_overrides)
+    link = _panel_link("ris_rx", env, rx, panel, carrier, pattern, convention)
     return link.one_trial(rng)
 
 
 def siso_channel(
-    env: Environment,
-    tx: Point3,
-    rx: Point3,
-    carrier: CarrierConfig,
-    rng: np.random.Generator,
-    *,
-    scenario_overrides: Optional[Mapping[bool, ScenarioParams]] = None,
+    env: Environment, tx: Point3, rx: Point3, carrier: CarrierConfig, rng: np.random.Generator
 ) -> tuple[complex, LinkMetadata]:
     """Generate the scalar Tx-Rx direct channel.
 
@@ -586,7 +570,7 @@ def siso_channel(
     and no angles or element pattern: each ray contributes its amplitude and
     random phase. The UMi NLOS height correction uses the Rx height.
     """
-    value, meta = _direct_link(env, tx, rx, carrier, scenario_overrides).one_trial(rng)
+    value, meta = _direct_link(env, tx, rx, carrier).one_trial(rng)
     return complex(value), meta
 
 

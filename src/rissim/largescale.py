@@ -3,8 +3,7 @@
 Statistical constants (cluster counts, delay scaling, per-cluster shadowing,
 ray-offset table, LSP means/stds and their cross-correlations) are shipped as
 JSON data files per environment and LOS state, transcribed from the standard
-sub-6 GHz geometry-based channel-model tables. They can be overridden by
-loading a user file with the same schema.
+sub-6 GHz geometry-based channel-model tables.
 """
 
 from __future__ import annotations
@@ -126,34 +125,17 @@ class ScenarioParams:
         )
 
     def correlation_factor(self) -> np.ndarray:
-        """Symmetric square-root factor of the (repaired) correlation matrix."""
+        """Symmetric square-root factor of the correlation matrix.
+
+        Raises:
+            ValueError: if the matrix is not positive semidefinite.
+        """
         if self._corr_factor is None:
-            repaired = nearest_psd_correlation(self.cross_correlation)
-            w, v = np.linalg.eigh(repaired)
+            w, v = np.linalg.eigh(self.cross_correlation)
             if w.min() < -1e-10:
-                raise ValueError("correlation matrix is not PSD after repair")
+                raise ValueError("correlation matrix is not PSD")
             self._corr_factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
         return self._corr_factor
-
-
-def nearest_psd_correlation(matrix: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix to the nearest PSD correlation matrix.
-
-    Eigenvalues are clipped at zero and the diagonal is renormalized back to
-    one. For an already-PSD input this is the identity operation up to
-    floating point.
-    """
-    m = np.asarray(matrix, dtype=float)
-    w, v = np.linalg.eigh(m)
-    if w.min() >= 0.0:
-        return m
-    repaired = v @ np.diag(np.clip(w, 0.0, None)) @ v.T
-    d = np.sqrt(np.diag(repaired))
-    if np.any(d <= 0):
-        raise ValueError("correlation matrix cannot be repaired to PSD")
-    repaired = repaired / np.outer(d, d)
-    np.fill_diagonal(repaired, 1.0)
-    return repaired
 
 
 def _data_file(name: str) -> dict:
@@ -179,13 +161,9 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
     c = int(raw["cluster_count"])
     scaling = {}
     for key, angle in (("c_phi_nlos", "azimuth"), ("c_theta_nlos", "zenith")):
-        value = raw.get(key)
+        value = consts[key].get(str(c))
         if value is None:
-            value = consts[key].get(str(c))
-        if value is None:
-            raise ValueError(
-                f"no {angle} scaling constant for {c} clusters; supply {key} explicitly"
-            )
+            raise ValueError(f"no {angle} scaling constant for {c} clusters ({key})")
         scaling[key] = float(value)
     lsp = raw["lsp"]
     return ScenarioParams(
@@ -200,7 +178,7 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
         lsp_means={k: float(lsp[k]["mean"]) for k in LSP_ORDER},
         lsp_stds={k: float(lsp[k]["std"]) for k in LSP_ORDER},
         cross_correlation=np.array(raw["cross_correlation"], dtype=float),
-        ray_offsets=np.array(raw.get("ray_offsets", consts["ray_offsets"]), dtype=float),
+        ray_offsets=np.array(consts["ray_offsets"], dtype=float),
         **scaling,
     )
 
@@ -210,12 +188,6 @@ def load_scenario_params(env: Environment, los: bool) -> ScenarioParams:
     """Load the embedded parameter table for an environment and LOS state."""
     name = f"{env.value.lower()}_{'los' if los else 'nlos'}.json"
     return scenario_params_from_dict(_data_file(name))
-
-
-def load_scenario_params_file(path) -> ScenarioParams:
-    """Load a user-supplied parameter table (same schema as the embedded files)."""
-    with open(path, "r") as f:
-        return scenario_params_from_dict(json.load(f))
 
 
 def los_probability(env: Environment, d2d: float) -> float:

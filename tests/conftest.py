@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rissim.largescale import Environment, ScenarioParams
+from rissim.largescale import Environment, ScenarioParams, load_scenario_params
 
 
 class ScriptedRng:
@@ -76,6 +78,22 @@ def make_scenario(
         c_phi_nlos=1.0,
         c_theta_nlos=1.0,
     )
+
+
+def indefinite_table():
+    """A shipped table whose correlation matrix has smallest eigenvalue -0.8.
+
+    Three LSPs pairwise correlated at 0.9, 0.9 and -0.9 cannot all hold.
+    """
+    m = np.eye(7)
+    m[0, 1] = m[1, 0] = m[1, 2] = m[2, 1] = 0.9
+    m[0, 2] = m[2, 0] = -0.9
+    return replace(load_scenario_params(Environment.UMI, True), cross_correlation=m)
+
+
+def with_tables(link, params):
+    """``link`` drawing from the scenario table ``params`` in both LOS states."""
+    return replace(link, params={True: params, False: params})
 
 
 @pytest.fixture

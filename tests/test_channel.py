@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from conftest import make_scenario
+from conftest import make_scenario, with_tables
 import reference_paths
 from reference_paths import steering_vector
 from rissim.array_response import STEERING_CONVENTIONS, ElementPattern, element_gain
@@ -15,6 +15,7 @@ from rissim.channel import (
     _direct_link,
     _Link,
     _panel_link,
+    _plate_gain,
     nearfield_plate_gain,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -48,23 +49,15 @@ def reference_plate_gain(center, side, rx):
     return total / (4.0 * math.pi)
 
 
-def degenerate_overrides(**kwargs):
-    params = make_scenario(**kwargs)
-    return {True: params, False: params}
-
-
 class TestTxRisChannel:
     def test_single_ray_closed_form(self):
         panel = PanelGeometry.centered(Point3(0, 0, 1.0), 4, 0.05, "+y")
         tx = Point3(0, 10, 1.0)
-        overrides = degenerate_overrides(k_db=10.0)
-        h, meta = tx_ris_channel(
-            Environment.INH,
-            tx,
-            panel,
-            CARRIER,
-            np.random.default_rng(0),
-            scenario_overrides=overrides,
+        link = _panel_link(
+            "tx_ris", Environment.INH, tx, panel, CARRIER, ElementPattern(), "reference"
+        )
+        h, meta = with_tables(link, make_scenario(k_db=10.0)).one_trial(
+            np.random.default_rng(0)
         )
         assert meta.state.los and meta.state.forced
         pl_linear = 10.0 ** (meta.path_loss_db / 10.0)
@@ -79,17 +72,15 @@ class TestTxRisChannel:
     def test_fully_shadowed_panel_gives_zero_vector(self):
         panel = PanelGeometry.centered(Point3(0, 0, 3.0), 4, 0.05, "+y")
         tx = Point3(49, 10, 4.0)
-        overrides = degenerate_overrides(k_db=3.0, lg_asa=np.log10(104.0))
+        link = with_tables(
+            _panel_link(
+                "tx_ris", Environment.INH, tx, panel, CARRIER, ElementPattern(), "reference"
+            ),
+            make_scenario(k_db=3.0, lg_asa=np.log10(104.0)),
+        )
         found = None
         for seed in range(500):
-            h, meta = tx_ris_channel(
-                Environment.INH,
-                tx,
-                panel,
-                CARRIER,
-                np.random.default_rng(seed),
-                scenario_overrides=overrides,
-            )
+            h, meta = link.one_trial(np.random.default_rng(seed))
             if meta.fully_shadowed:
                 found = (h, meta)
                 break
@@ -227,22 +218,17 @@ class TestTxRisChannel:
             c_zsa=0.5,
             ray_offsets=offsets,
         )
-        overrides = {True: params, False: params}
         panel = PanelGeometry.centered(Point3(0, 0, 1.0), 16, 0.0625, "+y")
         tx = Point3(0, 10, 1.0)
+        link = with_tables(
+            _panel_link("tx_ris", Environment.INH, tx, panel, CARRIER, None, "reference"),
+            params,
+        )
         total = 0.0
         n_seeds = 10_000
         pl_db = None
         for seed in range(n_seeds):
-            h, meta = tx_ris_channel(
-                Environment.INH,
-                tx,
-                panel,
-                CARRIER,
-                np.random.default_rng(seed),
-                pattern=None,
-                scenario_overrides=overrides,
-            )
+            h, meta = link.one_trial(np.random.default_rng(seed))
             assert not meta.cluster_set.ray_mask.sum() < meta.cluster_set.ray_mask.size * 0.99
             total += np.linalg.norm(h) ** 2
             pl_db = meta.path_loss_db
@@ -299,14 +285,9 @@ class TestEffectiveAntennaHeight:
 
 class TestSisoChannel:
     def test_single_ray_magnitude(self):
-        overrides = degenerate_overrides(k_db=6.0)
-        value, meta = siso_channel(
-            Environment.INH,
-            Point3(0, 0, 1.0),
-            Point3(10, 0, 1.0),
-            CARRIER,
-            np.random.default_rng(2),
-            scenario_overrides=overrides,
+        link = _direct_link(Environment.INH, Point3(0, 0, 1.0), Point3(10, 0, 1.0), CARRIER)
+        value, meta = with_tables(link, make_scenario(k_db=6.0)).one_trial(
+            np.random.default_rng(2)
         )
         pl_linear = 10.0 ** (meta.path_loss_db / 10.0)
         assert abs(value) == pytest.approx(1.0 / np.sqrt(pl_linear), rel=1e-12)
@@ -314,16 +295,13 @@ class TestSisoChannel:
     def test_mean_power_is_inverse_path_loss(self):
         params = make_scenario(cluster_count=10, rays_per_cluster=4, k_db=0.0,
                                ray_offsets=np.zeros(4), zeta_db=3.0)
-        overrides = {True: params, False: params}
         tx, rx = Point3(0, 0, 1.0), Point3(10, 0, 1.5)
+        link = with_tables(_direct_link(Environment.INH, tx, rx, CARRIER), params)
         total = 0.0
         pl_db = None
         n_seeds = 10_000
         for seed in range(n_seeds):
-            value, meta = siso_channel(
-                Environment.INH, tx, rx, CARRIER, np.random.default_rng(seed),
-                scenario_overrides=overrides,
-            )
+            value, meta = link.one_trial(np.random.default_rng(seed))
             total += abs(value) ** 2
             pl_db = meta.path_loss_db
         pl_linear = 10.0 ** (pl_db / 10.0)
@@ -361,6 +339,22 @@ class TestNearField:
         assert gain == pytest.approx(3.104453218e-4, rel=1e-8)
         limit = 0.0625**2 / (4 * np.pi * 1.0**2)
         assert gain / limit == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("direction", [(3, -3, -6), (1, 2, 0), (0, 2, 1)])
+    def test_far_distance_limit_off_broadside(self, direction):
+        # Far away a plate of area A seen along unit vector (dx, dy, dz)/d
+        # captures A (|dy|/d) (1 - (dz/d)^2) / (4 pi d^2): the projected area
+        # times the polarization mismatch of a z-oriented field.
+        side = 0.0625
+        unit = np.array(direction, dtype=float) / np.linalg.norm(direction)
+        errors = []
+        for mult in (10, 30, 100):
+            d = mult * side
+            dx, dy, dz = d * unit
+            limit = side**2 * (abs(dy) / d) * (1.0 - (dz / d) ** 2) / (4 * np.pi * d**2)
+            errors.append(abs(_plate_gain(dx, dz, abs(dy), side) / limit - 1.0))
+        assert errors[0] < 1e-2
+        assert errors[0] > errors[1] > errors[2]
 
     def test_reflection_symmetry(self, rng):
         for _ in range(50):
@@ -446,10 +440,11 @@ class TestRisRxFarfield:
     def test_single_ray_closed_form(self):
         panel = PanelGeometry.centered(Point3(0, 0, 2.0), 4, 0.05, "+y")
         rx = Point3(0, 5, 2.0)
-        overrides = degenerate_overrides(k_db=10.0)
-        g, meta = ris_rx_farfield(
-            Environment.INH, panel, rx, CARRIER, np.random.default_rng(1),
-            scenario_overrides=overrides,
+        link = _panel_link(
+            "ris_rx", Environment.INH, rx, panel, CARRIER, ElementPattern(), "reference"
+        )
+        g, meta = with_tables(link, make_scenario(k_db=10.0)).one_trial(
+            np.random.default_rng(1)
         )
         pl_linear = 10.0 ** (meta.path_loss_db / 10.0)
         assert np.allclose(np.abs(g), np.sqrt(element_gain(90.0) / pl_linear))

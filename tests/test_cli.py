@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from conftest import indefinite_table
 from rissim import cli
 from rissim.cli import main
 from rissim.experiment import ExperimentConfig, figure_presets
@@ -275,6 +276,12 @@ class TestValidate:
             "PASS float32 sign bits match integers(0, 2)",
             "PASS chunk state words match their SeedSequence keys",
         ]
+
+    def test_indefinite_correlation_matrix_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_scenario_params", lambda env, los: indefinite_table())
+        assert main(["validate"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL shipped correlation matrices are PSD" in out.splitlines()
 
 
 class TestBadUsage:

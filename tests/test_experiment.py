@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_paths
-from conftest import make_scenario
+from conftest import make_scenario, with_tables
 from rissim import channel, experiment
 from rissim.array_response import ElementPattern
 from rissim.channel import FieldRegime, _panel_link
@@ -555,9 +555,11 @@ class TestFastPathMatchesReference:
         tx, carrier = Point3(49, 10, 4.0), CarrierConfig(2.4)
         params = make_scenario(k_db=3.0, lg_asa=np.log10(104.0))
         overrides = {True: params, False: params}
-        link = _panel_link(
-            "tx_ris", Environment.INH, tx, panel, carrier, ElementPattern(), "reference",
-            overrides,
+        link = with_tables(
+            _panel_link(
+                "tx_ris", Environment.INH, tx, panel, carrier, ElementPattern(), "reference"
+            ),
+            params,
         )
         seeds = range(40)
         _, values = link.generate([(link, np.random.default_rng(s)) for s in seeds])

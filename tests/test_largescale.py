@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, indefinite_table
 from rissim.largescale import (
     LSP_ORDER,
     Environment,
@@ -16,7 +16,6 @@ from rissim.largescale import (
     load_scenario_params,
     los_probability,
     lsps_from_normals,
-    nearest_psd_correlation,
     path_loss_db,
     scenario_params_from_dict,
 )
@@ -145,15 +144,13 @@ class TestScenarioData:
         }
         with pytest.raises(ValueError, match="scaling constant"):
             scenario_params_from_dict(raw)
-        raw["c_phi_nlos"] = 1.0
-        raw["c_theta_nlos"] = 1.0
-        assert scenario_params_from_dict(raw).c_phi_nlos == 1.0
 
     def test_unknown_cluster_count_needs_the_zenith_constant_too(self):
+        # Four clusters have an azimuth scaling constant but no zenith one.
         raw = {
             "environment": "InH",
             "los_state": "NLOS",
-            "cluster_count": 7,
+            "cluster_count": 4,
             "rays_per_cluster": 20,
             "delay_scaling": 3.0,
             "per_cluster_shadowing_db": 3.0,
@@ -161,13 +158,9 @@ class TestScenarioData:
             "c_zsa_deg": 7.0,
             "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
-            "c_phi_nlos": 1.2,
         }
-        with pytest.raises(ValueError, match="no zenith scaling constant .*supply c_theta_nlos"):
+        with pytest.raises(ValueError, match="no zenith scaling constant for 4 clusters"):
             scenario_params_from_dict(raw)
-        raw["c_theta_nlos"] = 0.9
-        params = scenario_params_from_dict(raw)
-        assert (params.c_phi_nlos, params.c_theta_nlos) == (1.2, 0.9)
 
     @pytest.mark.parametrize("state", ["LSO", "los", "", None])
     def test_los_state_other_than_los_or_nlos_is_rejected(self, state):
@@ -188,11 +181,7 @@ class TestScenarioData:
         for state, los in (("LOS", True), ("NLOS", False)):
             assert scenario_params_from_dict({**raw, "los_state": state}).los is los
 
-    def test_user_file_long_keys(self, tmp_path):
-        import json
-
-        from rissim.largescale import load_scenario_params_file
-
+    def test_user_file_long_keys(self):
         raw = {
             "environment": "InH",
             "los_state": "NLOS",
@@ -205,30 +194,19 @@ class TestScenarioData:
             "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
-        path = tmp_path / "custom.json"
-        path.write_text(json.dumps(raw))
-        params = load_scenario_params_file(path)
+        params = scenario_params_from_dict(raw)
         assert params.cluster_count == 19
         assert params.delay_scaling == 3.0
         assert params.c_asa_deg == 11.0
         assert params.lsp_means["lgDS"] == 1.0
 
 
-class TestPsdRepair:
-    def test_identity_passthrough(self):
-        m = np.eye(7)
-        assert np.allclose(nearest_psd_correlation(m), m)
-
-    def test_indefinite_matrix_is_repaired(self):
-        m = np.eye(3)
-        m[0, 1] = m[1, 0] = 0.9
-        m[1, 2] = m[2, 1] = 0.9
-        m[0, 2] = m[2, 0] = -0.9
-        assert np.linalg.eigvalsh(m).min() < 0
-        repaired = nearest_psd_correlation(m)
-        assert np.linalg.eigvalsh(repaired).min() >= -1e-12
-        assert np.allclose(np.diag(repaired), 1.0)
-        assert np.allclose(repaired, repaired.T)
+class TestCorrelationFactor:
+    def test_indefinite_matrix_is_rejected(self):
+        params = indefinite_table()
+        assert np.linalg.eigvalsh(params.cross_correlation).min() == pytest.approx(-0.8)
+        with pytest.raises(ValueError, match="not PSD"):
+            params.correlation_factor()
 
 
 class TestDrawLsps:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +12,7 @@ from rissim.largescale import (
     Environment,
     LargeScaleParams,
     load_scenario_params,
-    load_scenario_params_file,
+    scenario_params_from_dict,
 )
 from rissim.smallscale import (
     build_cluster_set,
@@ -182,7 +180,8 @@ class TestDrawRayAngles:
         with pytest.raises(ValueError, match="offset table"):
             make_scenario(cluster_count=2, rays_per_cluster=3, ray_offsets=[0.0])
 
-    def test_rays_mismatch_in_a_user_file_rejected_at_load(self, tmp_path):
+    def test_rays_mismatch_in_a_user_file_rejected_at_load(self):
+        # Three rays per cluster against the shipped 20-entry offset table.
         raw = {
             "environment": "InH",
             "los_state": "NLOS",
@@ -194,12 +193,9 @@ class TestDrawRayAngles:
             "c_zsa_deg": 9.0,
             "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
-            "ray_offsets": [0.0, 0.5],
         }
-        path = tmp_path / "custom.json"
-        path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="offset table"):
-            load_scenario_params_file(path)
+            scenario_params_from_dict(raw)
 
     def test_deterministic(self):
         params = load_scenario_params(Environment.UMI, True)
