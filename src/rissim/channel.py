@@ -72,50 +72,57 @@ from .smallscale import cluster_powers, draw_delays, draw_phases, draw_ray_angle
 
 # Working-set budget of one chunk of trials, in bytes. One _TILE_SHARE-th of
 # it is assembly's steering workspace, in which the factors are built in tiles.
-_CHUNK_BYTES = 1 << 20
+# Each chunk pays a mapping pass's fixed cost (~130-170 numpy calls) per LOS
+# state and link kind, so wider chunks spread it over more trials. 2 MiB is
+# the knee of the speed/memory curve (BENCH_22.json, "budget_curve"): with
+# the budgets alternating sweep by sweep in one process, fig5a at 2 trials
+# per point ran x1.26 as fast at 2 MiB as at 1 MiB and x1.27-1.29 at 3-4 MiB,
+# while a process's peak RSS rose by 1.2 MB at 2 MiB and 2.4-4.3 MB at 3-4.
+_CHUNK_BYTES = 2 << 20
 _TILE_SHARE = 4
 
 
 def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     """Trials per chunk that keep a chunk's working set near ``_CHUNK_BYTES``.
 
-    The fixed part is assembly's steering workspace (``_CHUNK_BYTES //
-    _TILE_SHARE``) and its 16 bytes per element of product scratch; the rest
-    of the budget goes to trials. Per trial it counts the larger of
-    assembly's two peaks, per slot of the C*S rays of the larger of the LOS
-    and NLOS tables (each LOS state is mapped in a pass of its own): 68
-    bytes per slot while the surviving rays are gathered, or 42 bytes per
-    slot plus 8 bytes per element for each panel link's row of magnitudes
-    while the factors are built, after the pass's ray arrays are freed.
-    tracemalloc measured the slopes of these peaks over the trials of fig5a
-    chunks (UMi, far field, N = 16 to 4096) at 57.5 bytes per slot plus the
-    rows (68 in all at N = 256), and at 15-36 bytes per slot plus the rows.
-    Left out of the fixed part are numpy's 128 KiB ufunc buffer of the tile
-    scaling and, at N = 4096, a tile of one trial's rays that outgrows the
-    workspace share, so chunk peaks reach ~1.2 MiB.
+    A chunk's peak is the largest of three phase peaks, each a fixed part
+    plus a slope per trial; the chunk is the widest whose peak fits the
+    budget. Assembly's two peaks share a fixed part, its steering workspace
+    (``_CHUNK_BYTES // _TILE_SHARE``) and its 16 bytes per element of
+    product scratch, and count per slot of the C*S rays of the larger of
+    the LOS and NLOS tables (each LOS state is mapped in a pass of its own):
+    68 bytes per slot while the surviving rays are gathered, or 42 bytes
+    per slot plus 8 bytes per element for each panel link's row of
+    magnitudes while the factors are built, after the pass's ray arrays are
+    freed. tracemalloc measured the slopes of these peaks over the trials of
+    fig5a chunks (UMi, far field, N = 16 to 4096) at 57.5 bytes per slot
+    plus the rows (68 in all at N = 256), and at 15-36 bytes per slot plus
+    the rows. Left out of the fixed part are numpy's 128 KiB ufunc buffer of
+    the tile scaling and, at N = 4096, a tile of one trial's rays that
+    outgrows the workspace share.
 
-    A point has two panel links in the far field, one in the near field and
-    none without elements. A chunk of several near-field points also holds
-    each row's copy of its point's |g|, but these are made after the panel
-    rows are generated and assembly's working set is freed, so they are not
-    counted. At one trial per point, tracemalloc measured a 29-point fig5b
-    chunk at N = 1024 at 0.78-0.88 MiB while generating, and a 14-point one
-    at N = 4096 at 1.14-1.33 MiB (the h rows, each point's |g| and the
-    copies). Nor is link evaluation counted: on top of the chunk's rows it
-    holds two T x N float64 temporaries, |h| and its product with |g|.
-    tracemalloc measured a chunk and its evaluation at N = 4096, 14 trials
-    each, at 1.41 MiB in all for fig4 (1.14 MiB while generating) and 1.75
-    MiB for the fig5b unit. The estimate depends on the point alone, never
-    on ``workers``.
+    The third peak is link evaluation's, after assembly's working set is
+    freed: it has no fixed part, and per trial it holds the rows of |h| and
+    |g| and two temporaries of as many, |h| and its product with |g|, 32
+    bytes per element. tracemalloc measured its slope at 32.0 bytes per
+    element for fig5a chunks (far field, N = 1024) and fig5b units (near
+    field, N = 4096, one copy of its point's |g| per row), with intercepts
+    of 2-3 KB, and at 24.0 for a chunk of one near-field point, whose rows
+    share a view of its |g|. It sets the width from N = 4096 on. The
+    estimate depends on the point alone, never on ``workers``.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster
         for p in (load_scenario_params(env, los) for los in (True, False))
     )
     panel_links = 0 if n_elements == 0 else 1 if regime is FieldRegime.NEAR_FIELD else 2
-    per_trial = max(68 * rays, 42 * rays + 8 * n_elements * panel_links)
-    fixed = _CHUNK_BYTES // _TILE_SHARE + 16 * n_elements
-    return max(1, (_CHUNK_BYTES - fixed) // per_trial)
+    assembly = _CHUNK_BYTES // _TILE_SHARE + 16 * n_elements
+    peaks = [
+        (assembly, 68 * rays),
+        (assembly, 42 * rays + 8 * n_elements * panel_links),
+        (0, 32 * n_elements),
+    ]
+    return max(1, min((_CHUNK_BYTES - fixed) // slope for fixed, slope in peaks if slope))
 
 
 class FieldRegime(Enum):
@@ -327,6 +334,10 @@ class _Link:
                 np.empty((count,) + offsets.shape, dtype=offsets.dtype),
             ]
             az_bits, az_normals, zen_bits, zen_normals, order = angles
+            # numpy moves intp-sized items with a fixed-size copy, so each row
+            # is shuffled as intp in one scratch and stored in the small block.
+            offsets = offsets.astype(np.intp)
+            shuffled = np.empty_like(offsets)
         for row, (_, rng) in enumerate(rows):
             rng.standard_normal(out=lsp[row])
             rng.random(out=delay[row])
@@ -336,7 +347,8 @@ class _Link:
                 rng.standard_normal(out=az_normals[row])
                 rng.random(out=zen_bits[row], dtype=np.float32)
                 rng.standard_normal(out=zen_normals[row])
-                rng.permuted(offsets, axis=1, out=order[row])
+                rng.permuted(offsets, axis=1, out=shuffled)
+                order[row] = shuffled
             rng.random(out=phase[row])
         if angles:
             angles[0], angles[2] = az_bits >= 0.5, zen_bits >= 0.5

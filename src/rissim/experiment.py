@@ -11,6 +11,7 @@ its arithmetic, for the one-word keys a sweep makes (``_stream_words``).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -557,8 +558,13 @@ def generate_realization(
     sweep_index: int,
     trial: int,
 ) -> ChannelRealization:
-    """Generate the full channel realization for one (sweep point, trial)."""
-    return _PointChannels(config, sweep_index, point).connect().trial(trial)
+    """Generate the full channel realization for one (sweep point, trial).
+
+    Runs on one BLAS thread, as ``run_experiment`` does, so the result does
+    not depend on the caller's thread count.
+    """
+    with _one_blas_thread():
+        return _PointChannels(config, sweep_index, point).connect().trial(trial)
 
 
 def _units(config: ExperimentConfig) -> list:
@@ -713,6 +719,21 @@ def _set_blas_threads(count: int) -> Optional[int]:
     return previous
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread; the caller's count is restored after.
+
+    The matrix products of one trial are too small to gain from more threads,
+    and a product's last bits depend on how many threads formed it.
+    """
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
 # Projected serial seconds of a sweep's remaining units above which they go
 # to the process pool. Timed on fig4 with two workers on a 2-core machine
 # where two busy processes had ~1.25x the throughput of one (BENCH_8.json,
@@ -770,8 +791,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
     units = _units(config)[::-1]
     workers = min(workers, _usable_cores())
     rows = []
-    previous = _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         start = time.perf_counter()
         done = 0
         while units:
@@ -785,9 +805,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RateStats:
                 break
             rows += _run_unit(config, units.pop())
             done += 1
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
     return RateStats(preset=config.name, rows=rows)
 
 

@@ -167,7 +167,10 @@ def _offset_rows(c: int, s: int) -> np.ndarray:
     """2C rows of 0..S-1: each row is permuted into one ray-offset order.
 
     The shuffle draws the same values whatever the integer type, so the
-    smallest one that holds S-1 keeps a chunk's order block small.
+    smallest one that holds S-1 keeps a chunk's order block small. Shuffled
+    in place, such items are slow: numpy moves items with a fixed-size copy
+    only when they are ``intp``-sized, so ``_Link.draw_rows`` shuffles an
+    ``intp`` copy of these rows and stores the result in the block.
     """
     return np.broadcast_to(np.arange(s, dtype=np.min_scalar_type(s - 1)), (2 * c, s))
 

@@ -513,3 +513,11 @@ class TestStreamContract:
                     np.testing.assert_array_equal(block[row], draw)
                 after = drawn[i][1].bit_generator.state
                 assert after == references[i].bit_generator.state
+
+    def test_the_order_block_holds_one_byte_per_offset(self):
+        # Each row is shuffled as intp, but the chunk keeps the small block.
+        link = self.link(Environment.UMI, "panel-forced")
+        rows = [(link, np.random.default_rng(seed)) for seed in range(3)]
+        order = _Link.draw_rows(True, rows)[7]
+        c, s = link.params[True].cluster_count, link.params[True].rays_per_cluster
+        assert order.shape == (3, 2 * c, s) and order.dtype == np.uint8

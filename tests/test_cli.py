@@ -229,8 +229,8 @@ class TestRunCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_workers_flag_with_the_pool_started(self, tmp_path, forced_pool):
-        # At 20 trials no two points fit one chunk, so every point is a unit.
-        raw = {**tiny_config_dict(), "ris_z_sweep": [2.0, 3.0, 2.5], "trials": 20}
+        # At 40 trials no two points fit one chunk, so every point is a unit.
+        raw = {**tiny_config_dict(), "ris_z_sweep": [2.0, 3.0, 2.5], "trials": 40}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         outputs = []

@@ -645,21 +645,28 @@ class TestUnits:
     @pytest.mark.parametrize(
         "config, sizes",
         [
-            # Twenty-three trials fit a chunk at N=1024 in the far field.
-            (replace(figure_presets()["fig5a"], trials=2), [11] * 30),
-            (replace(figure_presets()["fig5a"], trials=3), [7] * 47 + [1]),
-            # Two points join only if 2 * trials <= 23: at most 11 trials each.
-            (replace(figure_presets()["fig5a"], trials=11), [2] * 165),
-            (replace(figure_presets()["fig5a"], trials=12), [1] * 330),
-            # A near-field unit is as wide as a point's own chunk: 29 trials at N=1024.
-            (replace(figure_presets()["fig5b"], trials=1), [29, 1]),
+            # Forty-eight trials fit a chunk at N=1024 in the far field.
+            (replace(figure_presets()["fig5a"], trials=2), [24] * 13 + [18]),
+            (replace(figure_presets()["fig5a"], trials=3), [16] * 20 + [10]),
+            (replace(figure_presets()["fig5a"], trials=11), [4] * 82 + [2]),
+            (replace(figure_presets()["fig5a"], trials=12), [4] * 82 + [2]),
+            # Two points join only if 2 * trials <= 48: at most 24 trials each.
+            (replace(figure_presets()["fig5a"], trials=24), [2] * 165),
+            (replace(figure_presets()["fig5a"], trials=25), [1] * 330),
+            # A near-field unit is as wide as a point's own chunk: 60 trials at
+            # N=1024, so one unit holds all 30 fig5b points at one trial each.
+            (replace(figure_presets()["fig5b"], trials=1), [30]),
+            (replace(figure_presets()["fig5b"], trials=3), [20, 10]),
             # Every point differs in N, or is the no-RIS point at another power.
             (replace(figure_presets()["fig4"], trials=1), [1] * 6),
             # The regime switches from near to far field between y=50 and y=52.
             (small_config(n_elements=(64,), ris_y_sweep=(49.0, 50.0, 52.0, 53.0),
                           regime_override=None, trials=4), [2, 2]),
         ],
-        ids=["fig5a-2", "fig5a-3", "fig5a-11", "fig5a-12", "fig5b-1", "fig4-1", "regime-switch"],
+        ids=[
+            "fig5a-2", "fig5a-3", "fig5a-11", "fig5a-12", "fig5a-24", "fig5a-25", "fig5b-1",
+            "fig5b-3", "fig4-1", "regime-switch",
+        ],
     )
     def test_units_join_runs_of_one_size_regime_and_power(self, config, sizes):
         units = experiment._units(config)
@@ -677,7 +684,7 @@ class TestUnits:
             # Far field: both panel links of every point in one pass.
             fig5a_row(2),
             # Near field: a different g for every point. fig5b at N=4096 makes
-            # units of 14, 14 and 2 points.
+            # units of 16 and 14 points.
             replace(figure_presets()["fig3a"], trials=1, n_elements=(64,)),
             replace(figure_presets()["fig5b"], trials=1, n_elements=(4096,)),
         ],
@@ -740,8 +747,11 @@ class TestUnits:
 
     @pytest.mark.parametrize("n_elements, trials", [(1024, 1), (1024, 2), (4096, 1), (4096, 2)])
     def test_near_field_units_hold_the_trials_of_a_point_alone(self, n_elements, trials):
-        # The rows' copies of each point's |g| take no share of the chunk.
-        config = replace(figure_presets()["fig5b"], trials=trials, n_elements=(n_elements,))
+        # On a finer y grid than fig5b's the points outnumber a chunk's trials.
+        config = replace(
+            figure_presets()["fig5b"], trials=trials, n_elements=(n_elements,),
+            ris_y_sweep=tuple(52.0 + 0.5 * i for i in range(17)),
+        )
         unit = experiment._units(config)[0]
         alone = _PointChannels(config, 0, config.sweep_points()[0]).chunk_trials
         assert alone == channel._chunk_trials(config.environment, n_elements, FieldRegime.NEAR_FIELD)
@@ -770,8 +780,8 @@ class TestUnits:
             return _unchecked_run_unit(config, unit, **kwargs)
 
         monkeypatch.setattr(experiment, "_run_unit", recorded)
-        # At ten trials two points fit a chunk.
-        config = fig5a_row(10, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
+        # At twenty trials two points fit a chunk.
+        config = fig5a_row(20, xs=(40.0, 42.0, 44.0, 46.0, 48.0))
         run_experiment(config, workers=workers)
         assert inline_pool == ([2] if workers == 2 else [])
         assert ran == [[0, 1], [2, 3], [4]]
@@ -782,8 +792,8 @@ class TestUnitFailureScope:
 
     @staticmethod
     def config():
-        # At ten trials, units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
-        return fig5a_row(10, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
+        # At twenty trials, units [0, 1], [2, 3], [4, 5]: the pool gets the last two.
+        return fig5a_row(20, xs=(40.0, 42.0, 44.0, 46.0, 48.0, 50.0))
 
     def check(self, stats, expected):
         assert [row.index for row in stats.rows] == list(range(6))
@@ -828,7 +838,7 @@ class TestChunkWorkingSet:
 
     @pytest.mark.parametrize(
         "preset, n_elements, floor",
-        [("fig5a", 1024, 20), ("fig4", 4096, 12), ("fig3a", 64, 25)],
+        [("fig5a", 1024, 40), ("fig4", 4096, 14), ("fig3a", 64, 50)],
     )
     def test_chunks_are_at_least_as_wide_as_the_floor(self, preset, n_elements, floor):
         # UMi far field at N=1024, UMi near field at N=4096, InH near field at N=64.
@@ -837,7 +847,8 @@ class TestChunkWorkingSet:
 
     def test_fig5a_units_at_two_trials_hold_ten_points_or_more(self):
         units = experiment._units(replace(figure_presets()["fig5a"], trials=2))
-        assert min(len(unit) for unit in units) >= 10
+        assert min(len(unit) for unit in units) >= 18
+        assert len(units) <= 15
 
     @pytest.mark.parametrize(
         "preset, n_elements, trials",
@@ -846,7 +857,7 @@ class TestChunkWorkingSet:
             ("fig3a", 64, 64), ("fig5a", 64, 64), ("fig4", 4096, 64), ("fig5a", 4096, 64),
             # The fig5a preset's own shape: UMi far field at N=1024.
             ("fig5a", 1024, 64),
-            # Units at one trial per point: 23 fig5a points at N=1024, 46 panel
+            # Units at one trial per point: 48 fig5a points at N=1024, 96 panel
             # rows in one pass; fig5b points at N=1024 and 4096, each row with
             # a copy of its own point's near-field |g|.
             ("fig5a", 1024, 1), ("fig5b", 1024, 1), ("fig5b", 4096, 1),
@@ -1014,9 +1025,9 @@ class TestPoolChoice:
     )
     def test_pool_size_is_capped(self, monkeypatch, inline_pool, workers, cores, points, sizes):
         monkeypatch.setattr(experiment, "_usable_cores", lambda: cores)
-        # At 20 trials no two points fit one chunk, so every point is a unit.
+        # At 40 trials no two points fit one chunk, so every point is a unit.
         z_sweep = tuple(2.0 + 0.1 * i for i in range(points))
-        config = small_config(ris_z_sweep=z_sweep, trials=20)
+        config = small_config(ris_z_sweep=z_sweep, trials=40)
         stats = run_experiment(config, workers=workers)
         assert inline_pool == sizes
         assert [row.index for row in stats.rows] == list(range(points))
@@ -1070,8 +1081,8 @@ class TestBlasThreads:
         self, monkeypatch, two_threads, forced_pool
     ):
         monkeypatch.setattr(experiment, "_run_unit", unit_on_one_blas_thread)
-        # At 20 trials every point is a unit, so the last two go to the pool.
-        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=20), workers=2)
+        # At 40 trials every point is a unit, so the last two go to the pool.
+        stats = run_experiment(small_config(ris_z_sweep=(2.0, 3.0, 2.5), trials=40), workers=2)
         assert forced_pool == [2]
         assert [row.error for row in stats.rows] == [None, None, None]
         assert two_threads() == 2
@@ -1081,6 +1092,34 @@ class TestBlasThreads:
         monkeypatch.setattr(experiment, "_run_unit", failing_unit)
         with pytest.raises(RuntimeError, match="sweep point failed"):
             run_experiment(small_config(ris_z_sweep=(2.0, 3.0)), workers=workers)
+        assert two_threads() == 2
+
+    def test_generate_realization_on_one_thread_then_restored(self, monkeypatch, two_threads):
+        # At N=1024 a product formed on two threads can differ in its last bits.
+        config = replace(figure_presets()["fig5a"], trials=1)
+        points = config.sweep_points()[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            made = [
+                generate_realization(config, p, i, t)
+                for i, p in enumerate(points)
+                for t in range(3)
+            ]
+            assert two_threads() == 2
+            _set_blas_threads(1)
+            alone = [
+                _PointChannels(config, i, p).connect().trial(t)
+                for i, p in enumerate(points)
+                for t in range(3)
+            ]
+            _set_blas_threads(2)
+        for real, expected in zip(made, alone):
+            np.testing.assert_array_equal(real.h, expected.h)
+            np.testing.assert_array_equal(real.g, expected.g)
+            assert real.h_siso == expected.h_siso
+        monkeypatch.setattr(_PointChannels, "trial", failing_unit)
+        with pytest.raises(RuntimeError, match="sweep point failed"):
+            generate_realization(config, points[0], 0, 0)
         assert two_threads() == 2
 
     def test_initializer_covers_spawned_workers(self):

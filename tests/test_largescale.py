@@ -129,7 +129,7 @@ class TestScenarioData:
         assert load_scenario_params(Environment.UMI, True).cluster_count == 12
         assert load_scenario_params(Environment.UMI, False).cluster_count == 19
 
-    def test_unknown_cluster_count_needs_explicit_constants(self):
+    def test_unknown_cluster_count_has_no_scaling_constant(self):
         raw = {
             "environment": "UMi",
             "los_state": "LOS",
@@ -181,7 +181,7 @@ class TestScenarioData:
         for state, los in (("LOS", True), ("NLOS", False)):
             assert scenario_params_from_dict({**raw, "los_state": state}).los is los
 
-    def test_user_file_long_keys(self):
+    def test_table_dict_with_the_long_keys_builds(self):
         raw = {
             "environment": "InH",
             "los_state": "NLOS",

@@ -180,7 +180,7 @@ class TestDrawRayAngles:
         with pytest.raises(ValueError, match="offset table"):
             make_scenario(cluster_count=2, rays_per_cluster=3, ray_offsets=[0.0])
 
-    def test_rays_mismatch_in_a_user_file_rejected_at_load(self):
+    def test_rays_mismatch_with_the_offset_table_rejected(self):
         # Three rays per cluster against the shipped 20-entry offset table.
         raw = {
             "environment": "InH",
