@@ -2,57 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-STEERING_CONVENTIONS = ("reference", "textbook")
+# Exponent of the cos^q element power pattern. Its broadside peak 2(2q+1) =
+# 3.14 equals the near-field plate's broadside peak pi (ROADMAP item 5).
+PATTERN_Q = 0.285
 
 
-@dataclass(frozen=True)
-class ElementPattern:
-    """cos^q power radiation pattern of a single RIS element.
+def element_gain(zenith_deg):
+    """Linear element power gain 2(2q+1) * cos^{2q}(90 - zenith) toward the zenith angle(s).
 
-    The gain is 2(2q+1) * cos^{2q}(90 - zenith), maximal at broadside
-    (zenith 90 degrees) where it equals 2(2q+1).
-    """
-
-    q: float = 0.285
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("pattern exponent q must be positive")
-
-
-def element_gain(zenith_deg, pattern: ElementPattern = ElementPattern()):
-    """Linear element power gain toward the given zenith angle(s).
-
+    Maximal at broadside (zenith 90 degrees), where it equals 2(2q+1).
     Directions with a non-positive cosine argument (outside the open
     (0, 180) zenith range) clamp to zero gain, avoiding fractional powers
     of negative numbers.
     """
     cosine = np.cos(np.radians(90.0 - np.asarray(zenith_deg, dtype=float)))
-    gain = 2.0 * (2.0 * pattern.q + 1.0) * np.clip(cosine, 0.0, None) ** (2.0 * pattern.q)
+    gain = 2.0 * (2.0 * PATTERN_Q + 1.0) * np.clip(cosine, 0.0, None) ** (2.0 * PATTERN_Q)
     if np.ndim(zenith_deg) == 0:
         return float(gain)
     return gain
 
 
-def steering_phase_factors(
-    zenith_deg, azimuth_deg, convention: str = "reference"
-) -> tuple[np.ndarray, np.ndarray]:
+def steering_phase_factors(zenith_deg, azimuth_deg) -> tuple[np.ndarray, np.ndarray]:
     """Per-direction multipliers (a, b) of the x and z element offsets.
 
     The steering phase of element n is (2*pi/lambda) * (x_n*a + z_n*b) with
-    offsets measured from the first element. The default "reference" convention
-    uses a = cos(zenith), b = sin(zenith)*cos(azimuth); "textbook" swaps
-    the two terms to the conventional planar-array form.
+    offsets measured from the first element, a = cos(zenith) and
+    b = sin(zenith)*cos(azimuth).
     """
-    if convention not in STEERING_CONVENTIONS:
-        raise ValueError(f"unknown steering convention {convention!r}")
     zen = np.radians(np.asarray(zenith_deg, dtype=float))
     azi = np.radians(np.asarray(azimuth_deg, dtype=float))
-    if convention == "reference":
-        return np.cos(zen), np.sin(zen) * np.cos(azi)
-    return np.sin(zen) * np.cos(azi), np.cos(zen)
-
+    return np.cos(zen), np.sin(zen) * np.cos(azi)

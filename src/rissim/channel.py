@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .array_response import ElementPattern, element_gain, steering_phase_factors
+from .array_response import element_gain, steering_phase_factors
 from .geometry import (
     CarrierConfig,
     PanelGeometry,
@@ -158,9 +158,7 @@ def _assemble_panel_channel(
     panel: PanelGeometry,
     cluster_set: ClusterSet,
     pl_linear,
-    pattern: Optional[ElementPattern],
     wavelength_m: float,
-    convention: str,
     out=None,
 ) -> np.ndarray:
     """Sum the surviving rays' contributions into the N-element channel vector.
@@ -203,7 +201,7 @@ def _assemble_panel_channel(
     powers = np.take(cluster_set.powers, rays // n_rays)
     # The ray arrays are freed here unless the caller still holds the set.
     del cluster_set
-    gains = element_gain(zenith, pattern) if pattern is not None else np.ones_like(zenith)
+    gains = element_gain(zenith)
     trial = rays // (n_clusters * n_rays)
     del rays
     coeffs = (
@@ -213,7 +211,7 @@ def _assemble_panel_channel(
     )
     del powers, gains, phases
     # The x and z steering multipliers (a, b) of every surviving ray, stacked.
-    ab = np.stack(steering_phase_factors(zenith, azimuth, convention))
+    ab = np.stack(steering_phase_factors(zenith, azimuth))
     del zenith, azimuth
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
     side = panel.side
@@ -266,17 +264,16 @@ class _Link:
     """One stochastic link's constants, computed once per sweep point.
 
     A panel link (Tx-RIS or far-field RIS-Rx) carries its panel, LOS
-    direction, element pattern and steering convention; the direct link
-    carries none of them. ``pl_db`` is the path loss in dB without shadow
-    fading, per LOS state.
+    direction and wavelength; the direct link carries none of them.
+    ``pl_db`` is the path loss in dB without shadow fading, per LOS state.
 
     A mapping pass takes link-trial rows: row i is a ``(link, generator)``
     pair, a trial of its own link drawn from its own stream. A row's link
     gives the pass only its ``pl_db`` and LOS direction. The environment,
-    scenario tables, panel side and spacing, pattern, convention and
-    wavelength are the first row's and must be those of every row. The
-    Tx-RIS and far-field RIS-Rx links of the points of one sweep unit share
-    them, and so do its direct links.
+    scenario tables, panel side and spacing and wavelength are the first
+    row's and must be those of every row. The Tx-RIS and far-field RIS-Rx
+    links of the points of one sweep unit share them, and so do its direct
+    links.
     """
 
     kind: str
@@ -287,8 +284,6 @@ class _Link:
     params: Mapping[bool, ScenarioParams]
     panel: Optional[PanelGeometry] = None
     los_direction: Optional[SphericalAngles] = None
-    pattern: Optional[ElementPattern] = None
-    convention: str = "reference"
     wavelength_m: float = 0.0
 
     def draw(self, rng: np.random.Generator) -> bool:
@@ -406,8 +401,7 @@ class _Link:
         clusters = box[0] if out is None else None
         # Passed as a temporary: with ``out``, assembly holds the only reference.
         vector = _assemble_panel_channel(
-            link.panel, box.pop(), pl_linear, link.pattern, link.wavelength_m, link.convention,
-            out=out,
+            link.panel, box.pop(), pl_linear, link.wavelength_m, out=out
         )
         return vector, pl_db, lsps, clusters
 
@@ -475,13 +469,7 @@ def _scenario_tables(env: Environment) -> dict:
 
 
 def _panel_link(
-    kind: str,
-    env: Environment,
-    terminal: Point3,
-    panel: PanelGeometry,
-    carrier: CarrierConfig,
-    pattern: Optional[ElementPattern],
-    convention: str,
+    kind: str, env: Environment, terminal: Point3, panel: PanelGeometry, carrier: CarrierConfig
 ) -> _Link:
     """Constants of the Tx-RIS or far-field RIS-Rx link.
 
@@ -510,8 +498,6 @@ def _panel_link(
         params=_scenario_tables(env),
         panel=panel,
         los_direction=los_angles(panel, terminal),
-        pattern=pattern,
-        convention=convention,
         wavelength_m=carrier.wavelength_m,
     )
 
@@ -537,9 +523,6 @@ def tx_ris_channel(
     panel: PanelGeometry,
     carrier: CarrierConfig,
     rng: np.random.Generator,
-    *,
-    pattern: Optional[ElementPattern] = ElementPattern(),
-    convention: str = "reference",
 ) -> tuple[np.ndarray, LinkMetadata]:
     """Generate the stochastic Tx-RIS channel vector h, shape (N,).
 
@@ -549,7 +532,7 @@ def tx_ris_channel(
     carries ``fully_shadowed=True``. Emits a warning (not an error) when the
     Tx sits inside the panel's Fraunhofer distance.
     """
-    link = _panel_link("tx_ris", env, tx, panel, carrier, pattern, convention)
+    link = _panel_link("tx_ris", env, tx, panel, carrier)
     return link.one_trial(rng)
 
 
@@ -559,9 +542,6 @@ def ris_rx_farfield(
     rx: Point3,
     carrier: CarrierConfig,
     rng: np.random.Generator,
-    *,
-    pattern: Optional[ElementPattern] = ElementPattern(),
-    convention: str = "reference",
 ) -> tuple[np.ndarray, LinkMetadata]:
     """Generate the stochastic far-field RIS-Rx channel vector g, shape (N,).
 
@@ -569,7 +549,7 @@ def ris_rx_farfield(
     departure angles at the panel follow the same distributions as the
     arrival angles of the Tx-RIS link.
     """
-    link = _panel_link("ris_rx", env, rx, panel, carrier, pattern, convention)
+    link = _panel_link("ris_rx", env, rx, panel, carrier)
     return link.one_trial(rng)
 
 

@@ -27,7 +27,6 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .array_response import STEERING_CONVENTIONS, ElementPattern
 # The engine calls no one-trial link function; tx_ris_channel, ris_rx_farfield
 # and siso_channel stay importable here, where benchmarks/layertrace.py wraps them.
 from .channel import (  # noqa: F401
@@ -120,8 +119,6 @@ class ExperimentConfig:
     master_seed: int = 2024
     regime_override: Optional[FieldRegime] = None
     no_ris_baseline_extra_db: Optional[float] = None
-    element_pattern_q: float = 0.285
-    steering_convention: str = "reference"
 
     def __post_init__(self):
         for f in fields(self):
@@ -136,17 +133,12 @@ class ExperimentConfig:
         for axis in (self.ris_x_sweep, self.ris_y_sweep, self.ris_z_sweep):
             if axis is not None and len(axis) == 0:
                 raise ValueError("sweep axes must be non-empty when given")
-        for key in ("f_c_ghz", "element_pattern_q", "spacing_m"):
+        for key in ("f_c_ghz", "spacing_m"):
             value = getattr(self, key)
             if value is not None and not value > 0:
                 raise ValueError(f"{key} must be positive, got {value}")
         if self.boresight not in ("+y", "-y"):
             raise ValueError(f"boresight must be '+y' or '-y', got {self.boresight!r}")
-        if self.steering_convention not in STEERING_CONVENTIONS:
-            raise ValueError(
-                f"steering_convention must be one of {', '.join(STEERING_CONVENTIONS)}, "
-                f"got {self.steering_convention!r}"
-            )
         bad = [n for n in self.n_elements if n < 0 or math.isqrt(n) ** 2 != n]
         if bad:
             raise ValueError(f"n_elements entries must be 0 or perfect squares, got {bad}")
@@ -454,7 +446,6 @@ class _PointChannels:
         self.sweep_index = sweep_index
         self.point = point
         self.carrier = CarrierConfig(config.f_c_ghz)
-        self.pattern = ElementPattern(config.element_pattern_q)
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
         self.near = None
@@ -483,10 +474,9 @@ class _PointChannels:
         if point.n_elements > 0:
             if self.regime is FieldRegime.NEAR_FIELD:
                 self.near = ris_rx_nearfield(self.panel, config.rx, carrier)
-            panel_args = (self.panel, carrier, self.pattern, config.steering_convention)
-            links["tx_ris"] = _panel_link("tx_ris", env, config.tx, *panel_args)
+            links["tx_ris"] = _panel_link("tx_ris", env, config.tx, self.panel, carrier)
             if self.near is None:
-                links["ris_rx"] = _panel_link("ris_rx", env, config.rx, *panel_args)
+                links["ris_rx"] = _panel_link("ris_rx", env, config.rx, self.panel, carrier)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
         return self

@@ -154,8 +154,7 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
     if state not in ("LOS", "NLOS"):
         raise ValueError(f"los_state must be 'LOS' or 'NLOS', got {state!r}")
     los = state == "LOS"
-    order = raw.get("lsp_order", list(LSP_ORDER))
-    if tuple(order) != LSP_ORDER:
+    if tuple(raw["lsp_order"]) != LSP_ORDER:
         raise ValueError(f"lsp_order must be {list(LSP_ORDER)}")
     consts = _angle_constants()
     c = int(raw["cluster_count"])

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rissim.array_response import ElementPattern, element_gain, steering_phase_factors
+from rissim.array_response import element_gain, steering_phase_factors
 from rissim.channel import ris_rx_nearfield, select_field_regime
 from rissim.geometry import (
     CarrierConfig,
@@ -189,25 +189,19 @@ def filter_front_hemisphere(cluster_set):
     return replace(cluster_set, ray_mask=mask, powers=powers)
 
 
-def assemble_panel_channel(panel, cluster_set, pl_linear, pattern, wavelength_m, convention):
+def assemble_panel_channel(panel, cluster_set, pl_linear, wavelength_m):
     mask = cluster_set.ray_mask
     if not mask.any():
         return np.zeros(panel.n_elements, dtype=complex)
     n_rays = cluster_set.ray_mask.shape[1]
-    gains = (
-        element_gain(cluster_set.ray_zenith_deg, pattern)
-        if pattern is not None
-        else np.ones_like(cluster_set.ray_zenith_deg)
-    )
+    gains = element_gain(cluster_set.ray_zenith_deg)
     coeffs = (
         np.sqrt(cluster_set.powers[:, None] / n_rays)
         * np.sqrt(gains / pl_linear)
         * np.exp(1j * cluster_set.phases_rad)
     )
     coeffs = np.where(mask, coeffs, 0.0)[mask.any(axis=1)].reshape(-1)
-    a, b = steering_phase_factors(
-        cluster_set.ray_zenith_deg, cluster_set.ray_azimuth_deg, convention
-    )
+    a, b = steering_phase_factors(cluster_set.ray_zenith_deg, cluster_set.ray_azimuth_deg)
     a = a[mask.any(axis=1)].reshape(-1)
     b = b[mask.any(axis=1)].reshape(-1)
     kd = 2.0 * np.pi / wavelength_m * panel.spacing
@@ -218,14 +212,14 @@ def assemble_panel_channel(panel, cluster_set, pl_linear, pattern, wavelength_m,
     return grid.reshape(-1)
 
 
-def steering_vector(panel, angles, wavelength_m, convention="reference"):
+def steering_vector(panel, angles, wavelength_m):
     """Array response of the panel toward one direction, shape (N,) complex.
 
     All entries have unit modulus and the first entry is exactly 1.
     """
     if wavelength_m <= 0:
         raise ValueError("wavelength must be positive")
-    a, b = steering_phase_factors(angles.zenith_deg, angles.azimuth_deg, convention)
+    a, b = steering_phase_factors(angles.zenith_deg, angles.azimuth_deg)
     grid = panel.element_grid()
     x_off = grid[:, 0] - panel.first_element.x
     z_off = grid[:, 2] - panel.first_element.z
@@ -239,7 +233,7 @@ def _params(env, los, overrides):
     return load_scenario_params(env, los)
 
 
-def _panel_link(kind, env, terminal, panel, carrier, rng, pattern, convention, overrides):
+def _panel_link(kind, env, terminal, panel, carrier, rng, overrides):
     center = panel.center
     if panel.boresight_sign * (terminal.y - center.y) < 0.0:
         raise ValueError(f"{kind}: terminal lies behind the panel")
@@ -262,26 +256,18 @@ def _panel_link(kind, env, terminal, panel, carrier, rng, pattern, convention, o
     clusters = filter_front_hemisphere(
         build_cluster_set(delays, powers, zenith, azimuth, phases)
     )
-    vector = assemble_panel_channel(
-        panel, clusters, 10.0 ** (pl_db / 10.0), pattern, carrier.wavelength_m, convention
-    )
+    vector = assemble_panel_channel(panel, clusters, 10.0 ** (pl_db / 10.0), carrier.wavelength_m)
     return vector, state, clusters
 
 
-def tx_ris_channel(env, tx, panel, carrier, rng, *, pattern=ElementPattern(),
-                   convention="reference", scenario_overrides=None):
+def tx_ris_channel(env, tx, panel, carrier, rng, *, scenario_overrides=None):
     """(h, LinkState, ClusterSet) of one trial."""
-    return _panel_link(
-        "tx_ris", env, tx, panel, carrier, rng, pattern, convention, scenario_overrides
-    )
+    return _panel_link("tx_ris", env, tx, panel, carrier, rng, scenario_overrides)
 
 
-def ris_rx_farfield(env, panel, rx, carrier, rng, *, pattern=ElementPattern(),
-                    convention="reference", scenario_overrides=None):
+def ris_rx_farfield(env, panel, rx, carrier, rng, *, scenario_overrides=None):
     """(g, LinkState, ClusterSet) of one trial."""
-    return _panel_link(
-        "ris_rx", env, rx, panel, carrier, rng, pattern, convention, scenario_overrides
-    )
+    return _panel_link("ris_rx", env, rx, panel, carrier, rng, scenario_overrides)
 
 
 def siso_channel(env, tx, rx, carrier, rng, *, scenario_overrides=None):
@@ -311,7 +297,6 @@ def trial_channels(config, index, point, trial):
     h = g = np.zeros(0, dtype=complex)
     los_h = None
     if point.n_elements > 0:
-        pattern = ElementPattern(config.element_pattern_q)
         panel = PanelGeometry.centered(
             Point3(point.ris_x, point.ris_y, point.ris_z),
             point.n_elements,
@@ -319,17 +304,12 @@ def trial_channels(config, index, point, trial):
             config.boresight,
         )
         regime = select_field_regime(panel, config.rx, carrier, config.regime_override)
-        options = dict(pattern=pattern, convention=config.steering_convention)
-        h, state, _ = tx_ris_channel(
-            config.environment, config.tx, panel, carrier, rng_h, **options
-        )
+        h, state, _ = tx_ris_channel(config.environment, config.tx, panel, carrier, rng_h)
         los_h = state.los
         if regime.value == "near_field":
             g, _ = ris_rx_nearfield(panel, config.rx, carrier)
         else:
-            g, _, _ = ris_rx_farfield(
-                config.environment, panel, config.rx, carrier, rng_g, **options
-            )
+            g, _, _ = ris_rx_farfield(config.environment, panel, config.rx, carrier, rng_g)
     h_siso, state = siso_channel(config.environment, config.tx, config.rx, carrier, rng_siso)
     return h, g, h_siso, los_h, state.los
 

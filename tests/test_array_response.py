@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference_paths import steering_vector
-from rissim.array_response import ElementPattern, element_gain, steering_phase_factors
+from rissim.array_response import element_gain
 from rissim.geometry import PanelGeometry, Point3, SphericalAngles
 
 
@@ -28,13 +28,6 @@ class TestElementGain:
         gains = element_gain(np.array([0.0, 90.0, 45.0]))
         assert gains.shape == (3,)
         assert gains[1] == pytest.approx(3.14, abs=5e-3)
-
-    def test_custom_exponent(self):
-        assert element_gain(90.0, ElementPattern(q=1.0)) == pytest.approx(6.0)
-
-    def test_rejects_nonpositive_q(self):
-        with pytest.raises(ValueError):
-            ElementPattern(q=0.0)
 
 
 class TestSteeringVector:
@@ -69,20 +62,3 @@ class TestSteeringVector:
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             steering_vector(self.panel(), SphericalAngles(90, 90), 0.0)
-
-
-class TestConventionSwitch:
-    def test_factors_swap(self):
-        a_ref, b_ref = steering_phase_factors(40.0, 70.0, "reference")
-        a_txt, b_txt = steering_phase_factors(40.0, 70.0, "textbook")
-        assert a_ref == pytest.approx(b_txt)
-        assert b_ref == pytest.approx(a_txt)
-
-    def test_textbook_broadside_also_ones(self):
-        panel = PanelGeometry(4, 0.0625, Point3(0, 0, 0))
-        sv = steering_vector(panel, SphericalAngles(90.0, 90.0), 0.125, "textbook")
-        assert np.allclose(sv, 1.0)
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            steering_phase_factors(90.0, 90.0, "sideways")

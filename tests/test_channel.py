@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import make_scenario, with_tables
 import reference_paths
 from reference_paths import steering_vector
-from rissim.array_response import STEERING_CONVENTIONS, ElementPattern, element_gain
+from rissim.array_response import element_gain
 from rissim.channel import (
     FieldRegime,
     _assemble_panel_channel,
@@ -28,9 +28,11 @@ from rissim.geometry import (
     PanelGeometry,
     Point3,
     SphericalAngles,
+    distance_3d,
     fraunhofer_distance,
+    los_angles,
 )
-from rissim.largescale import Environment
+from rissim.largescale import Environment, path_loss_db
 from rissim.smallscale import ClusterSet
 
 CARRIER = CarrierConfig(2.4)
@@ -53,9 +55,7 @@ class TestTxRisChannel:
     def test_single_ray_closed_form(self):
         panel = PanelGeometry.centered(Point3(0, 0, 1.0), 4, 0.05, "+y")
         tx = Point3(0, 10, 1.0)
-        link = _panel_link(
-            "tx_ris", Environment.INH, tx, panel, CARRIER, ElementPattern(), "reference"
-        )
+        link = _panel_link("tx_ris", Environment.INH, tx, panel, CARRIER)
         h, meta = with_tables(link, make_scenario(k_db=10.0)).one_trial(
             np.random.default_rng(0)
         )
@@ -73,9 +73,7 @@ class TestTxRisChannel:
         panel = PanelGeometry.centered(Point3(0, 0, 3.0), 4, 0.05, "+y")
         tx = Point3(49, 10, 4.0)
         link = with_tables(
-            _panel_link(
-                "tx_ris", Environment.INH, tx, panel, CARRIER, ElementPattern(), "reference"
-            ),
+            _panel_link("tx_ris", Environment.INH, tx, panel, CARRIER),
             make_scenario(k_db=3.0, lg_asa=np.log10(104.0)),
         )
         found = None
@@ -152,20 +150,16 @@ class TestTxRisChannel:
 
     @given(
         side=st.integers(1, 16),
-        convention=st.sampled_from(STEERING_CONVENTIONS),
-        pattern=st.sampled_from([None, ElementPattern()]),
         mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=6)),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(side=5, convention="reference", pattern=ElementPattern(),
-             mask=np.zeros((3, 4), bool), seed=1)
-    @example(side=7, convention="textbook", pattern=None,
-             mask=np.eye(1, 12, 5, dtype=bool).reshape(3, 4), seed=2)
-    @example(side=16, convention="reference", pattern=ElementPattern(),
+    @example(side=5, mask=np.zeros((3, 4), bool), seed=1)
+    @example(side=7, mask=np.eye(1, 12, 5, dtype=bool).reshape(3, 4), seed=2)
+    @example(side=16,
              mask=np.array([[True, False, True], [False, False, False], [True, True, True]]),
              seed=3)
     @settings(max_examples=60, deadline=None)
-    def test_assembly_matches_naive_ray_sum(self, side, convention, pattern, mask, seed):
+    def test_assembly_matches_naive_ray_sum(self, side, mask, seed):
         rng = np.random.default_rng(seed)
         c, s = mask.shape
         clusters = ClusterSet(
@@ -178,15 +172,13 @@ class TestTxRisChannel:
         )
         panel = PanelGeometry.centered(Point3(0, 0, 2.0), side * side, 0.0625, "+y")
         pl_linear = 10.0 ** rng.uniform(5.0, 12.0)
-        h = _assemble_panel_channel(
-            panel, clusters, pl_linear, pattern, CARRIER.wavelength_m, convention
-        )
+        h = _assemble_panel_channel(panel, clusters, pl_linear, CARRIER.wavelength_m)
 
         naive = np.zeros(panel.n_elements, dtype=complex)
         bound = 0.0
         for ci, ri in zip(*np.nonzero(mask)):
             zenith = clusters.ray_zenith_deg[ci, ri]
-            gain = 1.0 if pattern is None else element_gain(zenith, pattern)
+            gain = element_gain(zenith)
             coeff = np.sqrt(clusters.powers[ci] / s * gain / pl_linear) * np.exp(
                 1j * clusters.phases_rad[ci, ri]
             )
@@ -194,7 +186,6 @@ class TestTxRisChannel:
                 panel,
                 SphericalAngles(zenith, clusters.ray_azimuth_deg[ci, ri]),
                 CARRIER.wavelength_m,
-                convention,
             )
             bound += abs(coeff)
         assert h.shape == (panel.n_elements,)
@@ -203,7 +194,9 @@ class TestTxRisChannel:
         # cancelling) entry itself.
         np.testing.assert_allclose(h, naive, rtol=0.0, atol=1e-12 * bound)
 
-    def test_mean_power_without_pattern(self):
+    def test_mean_power_is_the_gain_weighted_ray_power(self):
+        # Random ray phases make the cross terms average out: E|h|^2 is
+        # N * sum over surviving rays of P_c / S * G(zenith) / PL.
         offsets = np.array(
             [0.0447, -0.0447, 0.1413, -0.1413, 0.2492, -0.2492, 0.3715, -0.3715]
         )
@@ -221,19 +214,25 @@ class TestTxRisChannel:
         panel = PanelGeometry.centered(Point3(0, 0, 1.0), 16, 0.0625, "+y")
         tx = Point3(0, 10, 1.0)
         link = with_tables(
-            _panel_link("tx_ris", Environment.INH, tx, panel, CARRIER, None, "reference"),
+            _panel_link("tx_ris", Environment.INH, tx, panel, CARRIER),
             params,
         )
-        total = 0.0
+        total = expected = 0.0
         n_seeds = 10_000
-        pl_db = None
         for seed in range(n_seeds):
             h, meta = link.one_trial(np.random.default_rng(seed))
-            assert not meta.cluster_set.ray_mask.sum() < meta.cluster_set.ray_mask.size * 0.99
+            clusters = meta.cluster_set
+            assert not clusters.ray_mask.sum() < clusters.ray_mask.size * 0.99
             total += np.linalg.norm(h) ** 2
-            pl_db = meta.path_loss_db
-        pl_linear = 10.0 ** (pl_db / 10.0)
-        assert total / n_seeds == pytest.approx(panel.n_elements / pl_linear, rel=0.05)
+            ray_power = (
+                clusters.powers[:, None] / params.rays_per_cluster
+                * element_gain(clusters.ray_zenith_deg)
+            )
+            expected += (
+                panel.n_elements * np.sum(ray_power * clusters.ray_mask)
+                / 10.0 ** (meta.path_loss_db / 10.0)
+            )
+        assert total / n_seeds == pytest.approx(expected / n_seeds, rel=0.05)
 
 
 class TestEffectiveAntennaHeight:
@@ -422,6 +421,64 @@ class TestNearField:
             ris_rx_nearfield(panel, Point3(1, 8, 1), CARRIER)
 
 
+class TestElementNormalization:
+    """The far-field and near-field per-element power at the fig4 geometry, term by term.
+
+    RIS-Rx 7.348 m at 2.4 GHz, the Rx at dx = 3, dy = -3, dz = -6 m from the
+    panel centre. Far field: UMi LOS path loss times the element gain toward
+    the LOS zenith. Near field: the plate's mean |g_n|^2, whose small-plate
+    limit is free-space spreading times pi times the cosine off the panel
+    normal times the polarization factor 1 - (dz/d)^2.
+    """
+
+    CENTER, RX = Point3(62, 55, 7), Point3(65, 52, 1)
+
+    @staticmethod
+    def db(value):
+        return 10.0 * math.log10(value)
+
+    def terms(self):
+        d = distance_3d(self.CENTER, self.RX)
+        panel = PanelGeometry.centered(self.CENTER, 16, CARRIER.wavelength_m / 2.0, "-y")
+        zenith = los_angles(panel, self.RX).zenith_deg
+        far = {
+            "distance": -path_loss_db(Environment.UMI, True, d, CARRIER.f_c_ghz),
+            "peak": self.db(element_gain(90.0)),
+            "obliquity": self.db(element_gain(zenith) / element_gain(90.0)),
+            "polarization": 0.0,
+        }
+        near = {
+            "distance": -20.0 * math.log10(4.0 * math.pi * d / CARRIER.wavelength_m),
+            "peak": self.db(math.pi),
+            "obliquity": self.db(abs(self.RX.y - self.CENTER.y) / d),
+            "polarization": self.db(1.0 - ((self.RX.z - self.CENTER.z) / d) ** 2),
+        }
+        return d, far, near
+
+    def plate_mean_db(self, n):
+        panel = PanelGeometry.centered(self.CENTER, n, CARRIER.wavelength_m / 2.0, "-y")
+        g, _ = ris_rx_nearfield(panel, self.RX, CARRIER)
+        return self.db(np.mean(np.abs(g) ** 2))
+
+    def test_each_term_of_the_table(self):
+        d, far, near = self.terms()
+        assert d == pytest.approx(7.348, abs=5e-4)
+        expected_far = {"distance": -54.66, "peak": 4.97, "obliquity": -1.36, "polarization": 0.0}
+        expected_near = {
+            "distance": -57.38, "peak": 4.97, "obliquity": -3.89, "polarization": -4.77
+        }
+        assert far == pytest.approx(expected_far, abs=0.01)
+        assert near == pytest.approx(expected_near, abs=0.01)
+        assert sum(far.values()) == pytest.approx(-51.05, abs=0.01)
+        assert self.plate_mean_db(16) == pytest.approx(-61.06, abs=0.01)
+        assert self.plate_mean_db(4096) == pytest.approx(-60.27, abs=0.01)
+
+    def test_the_four_gaps_sum_to_the_far_near_difference(self):
+        _, far, near = self.terms()
+        gaps = [far[term] - near[term] for term in far]
+        assert sum(far.values()) - self.plate_mean_db(16) == pytest.approx(sum(gaps), abs=0.05)
+
+
 class TestRisRxFarfield:
     def test_same_pipeline_shape_and_determinism(self):
         panel = PanelGeometry.centered(Point3(62, 55, 7.0), 16, 0.0625, "-y")
@@ -440,9 +497,7 @@ class TestRisRxFarfield:
     def test_single_ray_closed_form(self):
         panel = PanelGeometry.centered(Point3(0, 0, 2.0), 4, 0.05, "+y")
         rx = Point3(0, 5, 2.0)
-        link = _panel_link(
-            "ris_rx", Environment.INH, rx, panel, CARRIER, ElementPattern(), "reference"
-        )
+        link = _panel_link("ris_rx", Environment.INH, rx, panel, CARRIER)
         g, meta = with_tables(link, make_scenario(k_db=10.0)).one_trial(
             np.random.default_rng(1)
         )
@@ -480,16 +535,10 @@ class TestStreamContract:
     def link(cls, env, kind):
         if kind == "panel-drawn":
             # The terminal is above the panel: the LOS state is drawn.
-            return _panel_link(
-                "tx_ris", env, Point3(10.0, 30.0, 10.0), cls.PANEL, CARRIER,
-                ElementPattern(), "reference",
-            )
+            return _panel_link("tx_ris", env, Point3(10.0, 30.0, 10.0), cls.PANEL, CARRIER)
         if kind == "panel-forced":
             # The panel is above the terminal: LOS is forced.
-            return _panel_link(
-                "ris_rx", env, Point3(-5.0, 20.0, 1.5), cls.PANEL, CARRIER,
-                ElementPattern(), "reference",
-            )
+            return _panel_link("ris_rx", env, Point3(-5.0, 20.0, 1.5), cls.PANEL, CARRIER)
         return _direct_link(env, Point3(10.0, 30.0, 10.0), Point3(0.0, 5.0, 1.5), CARRIER)
 
     @pytest.mark.parametrize("env", list(Environment))

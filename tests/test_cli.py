@@ -250,15 +250,26 @@ class TestRunCommand:
         assert main(["preset", "fig4", "--trials", "1", "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key, value", [("name", [1, 2]), ("steering_convention", None), ("boresight", 1)]
-    )
+    @pytest.mark.parametrize("key, value", [("name", [1, 2]), ("boresight", 1)])
     def test_non_string_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
         raw = {**tiny_config_dict(), key: value}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
         assert f"{key} must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("element_pattern_q", 0.285), ("steering_convention", "reference")]
+    )
+    def test_model_constant_key_exits_one_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # The element pattern and the steering convention are no config keys.
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**tiny_config_dict(), key: value}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: unknown config keys: {key}\n" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 import reference_paths
 from conftest import make_scenario, with_tables
 from rissim import channel, experiment
-from rissim.array_response import ElementPattern
 from rissim.channel import FieldRegime, _panel_link
 from rissim.cli import main
 from rissim.experiment import (
@@ -79,7 +78,6 @@ class TestConfig:
                 spacing_m=0.07,
                 regime_override=FieldRegime.FAR_FIELD,
                 no_ris_baseline_extra_db=0.0,
-                steering_convention="textbook",
             ),
         ],
         ids=lambda config: config.name,
@@ -128,16 +126,20 @@ class TestConfig:
         raw["seed"] = 1
         with pytest.raises(ValueError, match="unknown config keys: seed, trails"):
             ExperimentConfig.from_dict(raw)
+        # The element pattern and the steering convention are model constants.
+        for key, value in (("element_pattern_q", 0.285), ("steering_convention", "reference")):
+            with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+                ExperimentConfig.from_dict({**small_config().to_dict(), key: value})
 
     @pytest.mark.parametrize(
         "key, value",
         [
             ("f_c_ghz", 0.0),
             ("f_c_ghz", float("nan")),
-            ("element_pattern_q", -0.5),
+            ("spacing_m", -0.5),
             ("spacing_m", 0.0),
             ("boresight", "+x"),
-            ("steering_convention", "mirrored"),
+            ("boresight", "y"),
             ("n_elements", (64, 15)),
             ("n_elements", (-4,)),
             ("master_seed", -1),
@@ -180,7 +182,7 @@ class TestConfig:
             ("n_0_dbm", -math.inf),
             ("f_c_ghz", math.inf),
             ("spacing_m", math.inf),
-            ("element_pattern_q", math.inf),
+            ("spacing_m", -math.inf),
             ("no_ris_baseline_extra_db", math.nan),
             ("ris_x_sweep", (38.0, math.inf)),
             ("ris_z_sweep", (math.nan,)),
@@ -239,8 +241,6 @@ class TestConfig:
             ("name", [1, 2]),
             ("name", None),
             ("boresight", 1),
-            ("steering_convention", None),
-            ("steering_convention", ["reference"]),
         ],
     )
     def test_from_dict_rejects_a_non_string_for_a_string_key(self, key, value):
@@ -556,9 +556,7 @@ class TestFastPathMatchesReference:
         params = make_scenario(k_db=3.0, lg_asa=np.log10(104.0))
         overrides = {True: params, False: params}
         link = with_tables(
-            _panel_link(
-                "tx_ris", Environment.INH, tx, panel, carrier, ElementPattern(), "reference"
-            ),
+            _panel_link("tx_ris", Environment.INH, tx, panel, carrier),
             params,
         )
         seeds = range(40)
@@ -1209,8 +1207,6 @@ PRESET_DEFAULTS = {
     "master_seed": 2024,
     "regime_override": None,
     "no_ris_baseline_extra_db": None,
-    "element_pattern_q": 0.285,
-    "steering_convention": "reference",
 }
 
 PRESET_FIELDS = {

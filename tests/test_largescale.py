@@ -139,6 +139,7 @@ class TestScenarioData:
             "per_cluster_shadowing_db": 3.0,
             "c_asa_deg": 17.0,
             "c_zsa_deg": 7.0,
+            "lsp_order": list(LSP_ORDER),
             "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
@@ -156,6 +157,7 @@ class TestScenarioData:
             "per_cluster_shadowing_db": 3.0,
             "c_asa_deg": 17.0,
             "c_zsa_deg": 7.0,
+            "lsp_order": list(LSP_ORDER),
             "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
@@ -173,6 +175,7 @@ class TestScenarioData:
             "per_cluster_shadowing_db": 3.0,
             "c_asa_deg": 17.0,
             "c_zsa_deg": 7.0,
+            "lsp_order": list(LSP_ORDER),
             "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
@@ -191,6 +194,7 @@ class TestScenarioData:
             "per_cluster_shadowing_db": 3.0,
             "c_asa_deg": 11.0,
             "c_zsa_deg": 9.0,
+            "lsp_order": list(LSP_ORDER),
             "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
@@ -222,6 +226,7 @@ class TestDrawLsps:
                 "per_cluster_shadowing_db": 3.0,
                 "c_asa_deg": 17.0,
                 "c_zsa_deg": 7.0,
+                "lsp_order": list(LSP_ORDER),
                 "lsp": {
                     k: {"mean": params.lsp_means[k], "std": 0.0} for k in LSP_ORDER
                 },

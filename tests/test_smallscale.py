@@ -191,6 +191,7 @@ class TestDrawRayAngles:
             "per_cluster_shadowing_db": 3.0,
             "c_asa_deg": 11.0,
             "c_zsa_deg": 9.0,
+            "lsp_order": list(LSP_ORDER),
             "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
             "cross_correlation": np.eye(7).tolist(),
         }
