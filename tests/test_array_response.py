@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference_paths import steering_vector
-from rissim.array_response import element_gain
+from rissim.array_response import PATTERN_Q, element_gain, steering_phase_factors
 from rissim.geometry import PanelGeometry, Point3, SphericalAngles
 
 
@@ -28,6 +28,27 @@ class TestElementGain:
         gains = element_gain(np.array([0.0, 90.0, 45.0]))
         assert gains.shape == (3,)
         assert gains[1] == pytest.approx(3.14, abs=5e-3)
+
+    def test_is_the_cos_power_formula_with_the_model_exponent(self):
+        assert PATTERN_Q == 0.285
+        zenith = np.array([10.0, 45.0, 90.0, 137.5])
+        cosine = np.cos(np.radians(90.0 - zenith))
+        expected = 2.0 * (2.0 * 0.285 + 1.0) * cosine ** (2.0 * 0.285)
+        assert np.array_equal(element_gain(zenith), expected)
+
+
+class TestSteeringPhaseFactors:
+    def test_reference_convention_values(self):
+        a, b = steering_phase_factors(40.0, 70.0)
+        assert a == np.cos(np.radians(40.0))
+        assert b == np.sin(np.radians(40.0)) * np.cos(np.radians(70.0))
+
+    def test_broadcasts_over_ray_arrays(self):
+        zenith = np.full((3, 20), 60.0)
+        a, b = steering_phase_factors(zenith, np.linspace(-90.0, 90.0, 20))
+        assert a.shape == b.shape == (3, 20)
+        assert np.allclose(a, 0.5)
+        assert np.allclose(b[:, [0, -1]], 0.0)
 
 
 class TestSteeringVector:
