@@ -109,7 +109,9 @@ def _chunk_trials(env: Environment, n_elements: int, regime) -> int:
     field, N = 4096, one copy of its point's |g| per row), with intercepts
     of 2-3 KB, and at 24.0 for a chunk of one near-field point, whose rows
     share a view of its |g|. It sets the width from N = 4096 on. The
-    estimate depends on the point alone, never on ``workers``.
+    estimate depends on the point alone, never on ``workers``: 60 trials at
+    N = 64 (InH, near field), 48 at N = 1024 (UMi, far field) and 16 at
+    N = 4096 (UMi, near field); BENCH_22.json ("chunk_peaks") has their peaks.
     """
     rays = max(
         p.cluster_count * p.rays_per_cluster

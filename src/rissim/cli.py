@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
 
-SEED_ENV_VAR = "RIS_SIM_SEED"
-
 
 def _worker_count(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
@@ -84,15 +82,7 @@ def _sweep(args) -> int:
                     f"unknown preset {args.name!r}; available: {', '.join(sorted(presets))}"
                 )
             config = presets[args.name]
-        seed = config.master_seed
-        text = os.environ.get(SEED_ENV_VAR)
-        if text:
-            try:
-                seed = int(text)
-            except ValueError:
-                raise ValueError(f"{SEED_ENV_VAR} must be a whole number, got {text!r}") from None
-        if args.seed is not None:
-            seed = args.seed
+        seed = args.seed if args.seed is not None else config.master_seed
         trials = args.trials if args.trials is not None else config.trials
         config = replace(config, master_seed=seed, trials=trials)
         if args.output and os.path.isdir(args.output):
@@ -182,11 +172,14 @@ def _cmd_validate() -> int:
         ok = ok and snr_opt >= snr_grid - 1e-12 and abs(gap) < 1e-3
     report("closed-form SNR beats grid search", ok, f"worst gap {worst_gap:.2e}")
 
-    ok = True
-    for env in Environment:
-        for los in (True, False):
-            eigs = np.linalg.eigvalsh(load_scenario_params(env, los).cross_correlation)
-            ok = ok and eigs.min() > 0.0
+    # Building a table is where a correlation matrix that is not PSD raises.
+    try:
+        for env in Environment:
+            for los in (True, False):
+                load_scenario_params(env, los)
+        ok = True
+    except ValueError:
+        ok = False
     report("shipped correlation matrices are PSD", ok)
 
     # Sign bits are drawn as float32 uniforms, whose >= 0.5 is the top bit of

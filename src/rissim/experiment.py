@@ -64,7 +64,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One evaluated configuration: RIS placement, size and transmit power."""
 
@@ -75,7 +75,7 @@ class SweepPoint:
     p_t_dbm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     """Aggregated Monte Carlo statistics for one sweep point."""
 
@@ -564,7 +564,9 @@ def _units(config: ExperimentConfig) -> list:
     field regime and transmit power whose trials together fit one chunk of
     ``chunk_trials``, as wide as a point's own chunk; a point with more
     trials than that is a unit of its own. One chunk then holds every trial
-    of a unit of several points. Units depend on the config alone.
+    of a unit of several points. Units depend on the config alone: at 2
+    trials per point, fig5a's 330 far-field points at N = 1024 make 14
+    units, 13 of 24 points and one of 18.
     """
     units, last = [], None
     for index, point in enumerate(config.sweep_points()):

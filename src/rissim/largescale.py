@@ -63,13 +63,18 @@ class LargeScaleParams:
     """Correlated standard-normal 7-vector behind the draw, in LSP_ORDER."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScenarioParams:
     """Statistical constants for one (environment, LOS state) pair.
 
+    Only the four shipped tables (and tables built by tests) are ever built;
+    their schema is checked by the test suite, not here. Building one derives
+    ``correlation_factor`` and ``lsp_mean_std`` once, and is the only place a
+    correlation matrix that is not PSD raises.
+
     Attributes:
         cluster_count: Number of clusters C.
-        rays_per_cluster: Rays per cluster S; must equal len(ray_offsets).
+        rays_per_cluster: Rays per cluster S; equals len(ray_offsets).
         delay_scaling: Delay distribution proportionality factor r_tau (> 1).
         per_cluster_shadowing_db: Per-cluster shadowing std zeta [dB].
         c_asa_deg / c_zsa_deg: Cluster-wise rms azimuth/zenith ray spread.
@@ -79,6 +84,8 @@ class ScenarioParams:
         ray_offsets: Fixed per-ray offset table (unit spread).
         c_phi_nlos / c_theta_nlos: Azimuth/zenith angle-generation scaling
             constants for this cluster count (NLOS base value).
+        correlation_factor: Symmetric square-root factor of cross_correlation.
+        lsp_mean_std: The means and stds as (2, 7) rows in LSP_ORDER.
     """
 
     environment: Environment
@@ -95,47 +102,17 @@ class ScenarioParams:
     ray_offsets: np.ndarray
     c_phi_nlos: float
     c_theta_nlos: float
-    _corr_factor: np.ndarray = field(init=False, repr=False, default=None)
-    _lsp_mean_std: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    correlation_factor: np.ndarray = field(init=False, repr=False)
+    lsp_mean_std: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cluster_count < 1 or self.rays_per_cluster < 1:
-            raise ValueError("cluster_count and rays_per_cluster must be >= 1")
-        if self.delay_scaling <= 1.0:
-            raise ValueError("delay_scaling must exceed 1")
-        self.cross_correlation = np.asarray(self.cross_correlation, dtype=float)
-        self.ray_offsets = np.asarray(self.ray_offsets, dtype=float)
-        if len(self.ray_offsets) != self.rays_per_cluster:
-            raise ValueError(
-                f"rays_per_cluster={self.rays_per_cluster} does not match the "
-                f"ray-offset table of length {len(self.ray_offsets)}"
-            )
-        if self.cross_correlation.shape != (7, 7):
-            raise ValueError("cross_correlation must be 7x7")
-        if not np.allclose(self.cross_correlation, self.cross_correlation.T):
-            raise ValueError("cross_correlation must be symmetric")
-        if not np.allclose(np.diag(self.cross_correlation), 1.0):
-            raise ValueError("cross_correlation must have unit diagonal")
-        missing = [k for k in LSP_ORDER if k not in self.lsp_means or k not in self.lsp_stds]
-        if missing:
-            raise ValueError(f"missing LSP entries: {missing}")
-        # The means and stds as (2, 7) rows in LSP_ORDER, for lsps_from_normals.
-        self._lsp_mean_std = np.array(
-            [[table[name] for name in LSP_ORDER] for table in (self.lsp_means, self.lsp_stds)]
-        )
-
-    def correlation_factor(self) -> np.ndarray:
-        """Symmetric square-root factor of the correlation matrix.
-
-        Raises:
-            ValueError: if the matrix is not positive semidefinite.
-        """
-        if self._corr_factor is None:
-            w, v = np.linalg.eigh(self.cross_correlation)
-            if w.min() < -1e-10:
-                raise ValueError("correlation matrix is not PSD")
-            self._corr_factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
-        return self._corr_factor
+        w, v = np.linalg.eigh(self.cross_correlation)
+        if w.min() < -1e-10:
+            raise ValueError("correlation matrix is not PSD")
+        factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        object.__setattr__(self, "correlation_factor", factor)
+        rows = [[table[name] for name in LSP_ORDER] for table in (self.lsp_means, self.lsp_stds)]
+        object.__setattr__(self, "lsp_mean_std", np.array(rows))
 
 
 def _data_file(name: str) -> dict:
@@ -149,25 +126,12 @@ def _angle_constants() -> dict:
 
 def scenario_params_from_dict(raw: dict) -> ScenarioParams:
     """Build ScenarioParams from the JSON data-file schema."""
-    env = Environment(raw["environment"])
-    state = raw["los_state"]
-    if state not in ("LOS", "NLOS"):
-        raise ValueError(f"los_state must be 'LOS' or 'NLOS', got {state!r}")
-    los = state == "LOS"
-    if tuple(raw["lsp_order"]) != LSP_ORDER:
-        raise ValueError(f"lsp_order must be {list(LSP_ORDER)}")
     consts = _angle_constants()
     c = int(raw["cluster_count"])
-    scaling = {}
-    for key, angle in (("c_phi_nlos", "azimuth"), ("c_theta_nlos", "zenith")):
-        value = consts[key].get(str(c))
-        if value is None:
-            raise ValueError(f"no {angle} scaling constant for {c} clusters ({key})")
-        scaling[key] = float(value)
     lsp = raw["lsp"]
     return ScenarioParams(
-        environment=env,
-        los=los,
+        environment=Environment(raw["environment"]),
+        los=raw["los_state"] == "LOS",
         cluster_count=c,
         rays_per_cluster=int(raw["rays_per_cluster"]),
         delay_scaling=float(raw["delay_scaling"]),
@@ -178,7 +142,8 @@ def scenario_params_from_dict(raw: dict) -> ScenarioParams:
         lsp_stds={k: float(lsp[k]["std"]) for k in LSP_ORDER},
         cross_correlation=np.array(raw["cross_correlation"], dtype=float),
         ray_offsets=np.array(consts["ray_offsets"], dtype=float),
-        **scaling,
+        c_phi_nlos=float(consts["c_phi_nlos"][str(c)]),
+        c_theta_nlos=float(consts["c_theta_nlos"][str(c)]),
     )
 
 
@@ -268,9 +233,8 @@ def lsps_from_normals(params: ScenarioParams, normals: np.ndarray) -> LargeScale
     ``normals`` of a chunk of trials, (T, 7), gives every field of the result
     a leading trial axis.
     """
-    factor = params.correlation_factor()
-    latent = (factor @ normals[..., None])[..., 0]
-    means, stds = params._lsp_mean_std
+    latent = (params.correlation_factor @ normals[..., None])[..., 0]
+    means, stds = params.lsp_mean_std
     values = means + stds * latent
     # DS and the four angular spreads are log10-domain; the angles are capped.
     spreads = 10.0 ** values[..., 2:]

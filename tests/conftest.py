@@ -81,9 +81,10 @@ def make_scenario(
 
 
 def indefinite_table():
-    """A shipped table whose correlation matrix has smallest eigenvalue -0.8.
+    """Build a shipped table whose correlation matrix has smallest eigenvalue -0.8.
 
-    Three LSPs pairwise correlated at 0.9, 0.9 and -0.9 cannot all hold.
+    Three LSPs pairwise correlated at 0.9, 0.9 and -0.9 cannot all hold, so
+    building the table raises ``ValueError``.
     """
     m = np.eye(7)
     m[0, 1] = m[1, 0] = m[1, 2] = m[2, 1] = 0.9

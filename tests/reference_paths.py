@@ -81,7 +81,7 @@ def link_draws(link, rng):
 
 
 def draw_lsps(params, los, rng):
-    latent = params.correlation_factor() @ rng.standard_normal(7)
+    latent = params.correlation_factor @ rng.standard_normal(7)
     values = {
         name: params.lsp_means[name] + params.lsp_stds[name] * latent[i]
         for i, name in enumerate(LSP_ORDER)

@@ -12,11 +12,6 @@ from rissim.largescale import Environment
 
 
 @pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("RIS_SIM_SEED", raising=False)
-
-
-@pytest.fixture(autouse=True)
 def quiet_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -104,24 +99,13 @@ class TestPresetCommand:
         assert "runtime error: sweep broke" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier,result\n"
 
-    def test_seed_env_variable_override(self, tmp_path, monkeypatch):
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
         base = tmp_path / "base.csv"
-        enved = tmp_path / "env.csv"
         flagged = tmp_path / "flag.csv"
         main(["preset", "fig3a", "--trials", "3", "--output", str(base)])
-        monkeypatch.setenv("RIS_SIM_SEED", "31")
-        main(["preset", "fig3a", "--trials", "3", "--output", str(enved)])
-        assert base.read_bytes() != enved.read_bytes()
-        assert ",31\n" in enved.read_text()
         main(["preset", "fig3a", "--trials", "3", "--seed", "7", "--output", str(flagged)])
+        assert base.read_bytes() != flagged.read_bytes()
         assert ",7\n" in flagged.read_text()
-
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_bad_seed_env_variable_names_it(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("RIS_SIM_SEED", value)
-        assert main(["preset", "fig3a", "--trials", "1"]) == 1
-        err = capsys.readouterr().err
-        assert f"config error: RIS_SIM_SEED must be a whole number, got {value!r}" in err
 
 
 class TestRunCommand:

@@ -140,8 +140,8 @@ class TestConfig:
             ("spacing_m", 0.0),
             ("boresight", "+x"),
             ("boresight", "y"),
-            ("n_elements", (64, 15)),
-            ("n_elements", (-4,)),
+            pytest.param("n_elements", (64, 15), id="n_elements-not_square"),
+            pytest.param("n_elements", (-4,), id="n_elements-negative"),
             ("master_seed", -1),
             ("trials", 2**32 + 1),
         ],
@@ -159,12 +159,12 @@ class TestConfig:
             ("n_elements", 64),
             ("ris_z_sweep", 5),
             ("tx", 5),
-            ("tx", [1.0, 2.0]),
-            ("f_c_ghz", [2.4]),
-            ("trials", [5]),
-            ("tx", [0, 25, "a"]),
-            ("rx", [0.0, math.inf, 1.5]),
-            ("n_elements", [64, "x"]),
+            pytest.param("tx", [1.0, 2.0], id="tx-two_coordinates"),
+            pytest.param("f_c_ghz", [2.4], id="f_c_ghz-list"),
+            pytest.param("trials", [5], id="trials-list"),
+            pytest.param("tx", [0, 25, "a"], id="tx-string_coordinate"),
+            pytest.param("rx", [0.0, math.inf, 1.5], id="rx-infinite_coordinate"),
+            pytest.param("n_elements", [64, "x"], id="n_elements-string_entry"),
             ("p_t_dbm", None),
             ("environment", "Mars"),
         ],
@@ -184,8 +184,8 @@ class TestConfig:
             ("spacing_m", math.inf),
             ("spacing_m", -math.inf),
             ("no_ris_baseline_extra_db", math.nan),
-            ("ris_x_sweep", (38.0, math.inf)),
-            ("ris_z_sweep", (math.nan,)),
+            pytest.param("ris_x_sweep", (38.0, math.inf), id="ris_x_sweep-inf_entry"),
+            pytest.param("ris_z_sweep", (math.nan,), id="ris_z_sweep-nan_entry"),
         ],
     )
     def test_rejects_non_finite_numbers_naming_the_key(self, key, value):
@@ -197,7 +197,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_elements", [16.7]), ("trials", 2.9), ("master_seed", 1.5), ("trials", math.inf)],
+        [
+            pytest.param("n_elements", [16.7], id="n_elements-fraction_entry"),
+            ("trials", 2.9),
+            ("master_seed", 1.5),
+            ("trials", math.inf),
+        ],
     )
     def test_from_dict_rejects_a_fraction_for_an_integer(self, key, value):
         raw = {**small_config().to_dict(), key: value}
@@ -216,13 +221,13 @@ class TestConfig:
         [
             ("trials", True),
             ("master_seed", False),
-            ("n_elements", [True, 4]),
+            pytest.param("n_elements", [True, 4], id="n_elements-boolean_entry"),
             ("f_c_ghz", "2.4"),
             ("trials", "20"),
             ("spacing_m", True),
             ("no_ris_baseline_extra_db", "10"),
-            ("ris_x_sweep", [38.0, "40"]),
-            ("tx", [0, 25, True]),
+            pytest.param("ris_x_sweep", [38.0, "40"], id="ris_x_sweep-string_entry"),
+            pytest.param("tx", [0, 25, True], id="tx-boolean_coordinate"),
         ],
     )
     def test_from_dict_rejects_a_boolean_or_string_for_a_number(self, key, value):
@@ -238,7 +243,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("name", [1, 2]),
+            pytest.param("name", [1, 2], id="name-list"),
             ("name", None),
             ("boresight", 1),
         ],

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from rissim.largescale import (
     Environment,
     LargeScaleParams,
     LinkState,
+    _angle_constants,
+    _data_file,
     assign_link_state,
     draw_lsps,
     load_scenario_params,
@@ -129,61 +131,6 @@ class TestScenarioData:
         assert load_scenario_params(Environment.UMI, True).cluster_count == 12
         assert load_scenario_params(Environment.UMI, False).cluster_count == 19
 
-    def test_unknown_cluster_count_has_no_scaling_constant(self):
-        raw = {
-            "environment": "UMi",
-            "los_state": "LOS",
-            "cluster_count": 7,
-            "rays_per_cluster": 20,
-            "delay_scaling": 3.0,
-            "per_cluster_shadowing_db": 3.0,
-            "c_asa_deg": 17.0,
-            "c_zsa_deg": 7.0,
-            "lsp_order": list(LSP_ORDER),
-            "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
-            "cross_correlation": np.eye(7).tolist(),
-        }
-        with pytest.raises(ValueError, match="scaling constant"):
-            scenario_params_from_dict(raw)
-
-    def test_unknown_cluster_count_needs_the_zenith_constant_too(self):
-        # Four clusters have an azimuth scaling constant but no zenith one.
-        raw = {
-            "environment": "InH",
-            "los_state": "NLOS",
-            "cluster_count": 4,
-            "rays_per_cluster": 20,
-            "delay_scaling": 3.0,
-            "per_cluster_shadowing_db": 3.0,
-            "c_asa_deg": 17.0,
-            "c_zsa_deg": 7.0,
-            "lsp_order": list(LSP_ORDER),
-            "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
-            "cross_correlation": np.eye(7).tolist(),
-        }
-        with pytest.raises(ValueError, match="no zenith scaling constant for 4 clusters"):
-            scenario_params_from_dict(raw)
-
-    @pytest.mark.parametrize("state", ["LSO", "los", "", None])
-    def test_los_state_other_than_los_or_nlos_is_rejected(self, state):
-        raw = {
-            "environment": "UMi",
-            "los_state": state,
-            "cluster_count": 12,
-            "rays_per_cluster": 20,
-            "delay_scaling": 3.0,
-            "per_cluster_shadowing_db": 3.0,
-            "c_asa_deg": 17.0,
-            "c_zsa_deg": 7.0,
-            "lsp_order": list(LSP_ORDER),
-            "lsp": {k: {"mean": 0.0, "std": 0.1} for k in LSP_ORDER},
-            "cross_correlation": np.eye(7).tolist(),
-        }
-        with pytest.raises(ValueError, match="los_state must be 'LOS' or 'NLOS'"):
-            scenario_params_from_dict(raw)
-        for state, los in (("LOS", True), ("NLOS", False)):
-            assert scenario_params_from_dict({**raw, "los_state": state}).los is los
-
     def test_table_dict_with_the_long_keys_builds(self):
         raw = {
             "environment": "InH",
@@ -205,12 +152,49 @@ class TestScenarioData:
         assert params.lsp_means["lgDS"] == 1.0
 
 
+# The four shipped tables, by data-file name.
+SHIPPED_TABLES = [
+    pytest.param(env, los, id=f"{env.value.lower()}_{'los' if los else 'nlos'}")
+    for env in Environment
+    for los in (True, False)
+]
+
+
+class TestShippedTables:
+    """The four shipped files, checked here once instead of at every table build."""
+
+    @pytest.mark.parametrize("env, los", SHIPPED_TABLES)
+    def test_file_holds_a_complete_consistent_table(self, env, los):
+        state = "LOS" if los else "NLOS"
+        raw = _data_file(f"{env.value.lower()}_{state.lower()}.json")
+        consts = _angle_constants()
+        assert (raw["environment"], raw["los_state"]) == (env.value, state)
+        assert tuple(raw["lsp_order"]) == LSP_ORDER
+        c, s = raw["cluster_count"], raw["rays_per_cluster"]
+        assert c >= 1 and s >= 1
+        assert s == len(consts["ray_offsets"])
+        assert raw["delay_scaling"] > 1.0
+        m = np.array(raw["cross_correlation"], dtype=float)
+        assert m.shape == (7, 7)
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(np.diag(m), np.ones(7))
+        assert np.linalg.eigvalsh(m).min() > 0.0
+        assert all({"mean", "std"} <= set(raw["lsp"][k]) for k in LSP_ORDER)
+        assert str(c) in consts["c_phi_nlos"] and str(c) in consts["c_theta_nlos"]
+
+    def test_loaded_table_is_immutable(self):
+        params = load_scenario_params(Environment.UMI, True)
+        with pytest.raises(FrozenInstanceError):
+            params.cluster_count = 3
+        with pytest.raises(FrozenInstanceError):
+            params.correlation_factor = np.eye(7)
+
+
 class TestCorrelationFactor:
     def test_indefinite_matrix_is_rejected(self):
-        params = indefinite_table()
-        assert np.linalg.eigvalsh(params.cross_correlation).min() == pytest.approx(-0.8)
+        # The table raises when it is built, before any draw reads it.
         with pytest.raises(ValueError, match="not PSD"):
-            params.correlation_factor()
+            indefinite_table()
 
 
 class TestDrawLsps:

@@ -7,13 +7,7 @@ from scipy import stats
 import reference_paths
 from conftest import ScriptedRng, make_scenario
 from rissim.geometry import SphericalAngles
-from rissim.largescale import (
-    LSP_ORDER,
-    Environment,
-    LargeScaleParams,
-    load_scenario_params,
-    scenario_params_from_dict,
-)
+from rissim.largescale import Environment, LargeScaleParams, load_scenario_params
 from rissim.smallscale import (
     build_cluster_set,
     cluster_powers,
@@ -174,29 +168,6 @@ class TestDrawRayAngles:
             )
             assert np.all((zen >= 0.0) & (zen <= 180.0))
             assert np.all((az > -180.0) & (az <= 180.0))
-
-    def test_rays_mismatch_rejected(self):
-        # The table is checked once, when it is built, not in every mapping pass.
-        with pytest.raises(ValueError, match="offset table"):
-            make_scenario(cluster_count=2, rays_per_cluster=3, ray_offsets=[0.0])
-
-    def test_rays_mismatch_with_the_offset_table_rejected(self):
-        # Three rays per cluster against the shipped 20-entry offset table.
-        raw = {
-            "environment": "InH",
-            "los_state": "NLOS",
-            "cluster_count": 19,
-            "rays_per_cluster": 3,
-            "delay_scaling": 3.0,
-            "per_cluster_shadowing_db": 3.0,
-            "c_asa_deg": 11.0,
-            "c_zsa_deg": 9.0,
-            "lsp_order": list(LSP_ORDER),
-            "lsp": {k: {"mean": 1.0, "std": 0.2} for k in LSP_ORDER},
-            "cross_correlation": np.eye(7).tolist(),
-        }
-        with pytest.raises(ValueError, match="offset table"):
-            scenario_params_from_dict(raw)
 
     def test_deterministic(self):
         params = load_scenario_params(Environment.UMI, True)
