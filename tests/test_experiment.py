@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1163,6 +1164,13 @@ class TestOutputs:
         assert row["n_elements"] == 16
         assert row["error"] is None
         assert isinstance(row["mean_rate_bps_hz"], float)
+
+    def test_rows_are_slotted_and_survive_a_pickle_round_trip(self):
+        # Rows come back from pool workers pickled.
+        row = SweepResult(0, SweepPoint(38, 50, 3, 16, 20.0), 1.0, 0.5, 30.0, 1.0, 0.0,
+                          "near_field", 2, 99, error="ValueError: x")
+        assert not hasattr(row, "__dict__") and not hasattr(row.point, "__dict__")
+        assert pickle.loads(pickle.dumps(row)) == row
 
     def test_csv_quotes_a_name_with_separators(self):
         name = 'a,b "c"\nd'

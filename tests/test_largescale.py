@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -182,6 +182,21 @@ class TestShippedTables:
         assert all({"mean", "std"} <= set(raw["lsp"][k]) for k in LSP_ORDER)
         assert str(c) in consts["c_phi_nlos"] and str(c) in consts["c_theta_nlos"]
 
+    @pytest.mark.parametrize("env, los", SHIPPED_TABLES)
+    def test_correlation_factor_is_the_symmetric_square_root(self, env, los):
+        params = load_scenario_params(env, los)
+        f = params.correlation_factor
+        # Symmetric to rounding: v @ diag @ v.T is not bit-symmetric.
+        np.testing.assert_allclose(f, f.T, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(f @ f, params.cross_correlation, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("env, los", SHIPPED_TABLES)
+    def test_mean_std_rows_follow_lsp_order(self, env, los):
+        params = load_scenario_params(env, los)
+        assert params.lsp_mean_std.shape == (2, 7)
+        assert params.lsp_mean_std[0].tolist() == [params.lsp_means[k] for k in LSP_ORDER]
+        assert params.lsp_mean_std[1].tolist() == [params.lsp_stds[k] for k in LSP_ORDER]
+
     def test_loaded_table_is_immutable(self):
         params = load_scenario_params(Environment.UMI, True)
         with pytest.raises(FrozenInstanceError):
@@ -195,6 +210,15 @@ class TestCorrelationFactor:
         # The table raises when it is built, before any draw reads it.
         with pytest.raises(ValueError, match="not PSD"):
             indefinite_table()
+
+
+    def test_replace_derives_the_factor_of_the_new_matrix(self):
+        # ``replace`` is how tests swap a table's matrix; the derived factor
+        # must follow the new matrix, not the one it was copied from.
+        shipped = load_scenario_params(Environment.UMI, True)
+        identity = replace(shipped, cross_correlation=np.eye(7))
+        assert np.array_equal(identity.correlation_factor, np.eye(7))
+        assert not np.array_equal(shipped.correlation_factor, np.eye(7))
 
 
 class TestDrawLsps:
