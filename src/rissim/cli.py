@@ -69,7 +69,8 @@ def _sweep(args) -> int:
     """Read the config or preset, apply the overrides, check ``--output``, run and write.
 
     Everything but the sweep itself is checked first, so bad input exits 1
-    before any work; the output file is written only once the sweep is done.
+    before any work; the output file is written only once the sweep is done,
+    and not at all when every point failed, which exits 2.
     """
     try:
         if args.verb == "run":
@@ -99,6 +100,9 @@ def _sweep(args) -> int:
             print(f"{len(failed)} of {len(stats.rows)} sweep points failed:", file=sys.stderr)
             for row in failed:
                 print(f"  point {row.index}: {row.error}", file=sys.stderr)
+        if len(failed) == len(stats.rows):
+            print("runtime error: every sweep point failed; nothing written", file=sys.stderr)
+            return EXIT_RUNTIME_ERROR
         text = stats.to_csv_text() if args.format == "csv" else stats.to_json_text()
         if args.output:
             with open(args.output, "w", newline="") as f:

@@ -23,7 +23,7 @@ import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from itertools import repeat
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -98,8 +98,12 @@ class ExperimentConfig:
 
     The RIS placement sweeps default to the single base position; element
     counts are always a sweep list. An entry of 0 elements (or the no-RIS
-    baseline) evaluates the direct link alone.
+    baseline) evaluates the direct link alone. The model fixes the rest:
+    each panel faces the Tx with elements half a wavelength apart
+    (``_PointChannels``), and the noise power is the class constant below.
     """
+
+    n_0_dbm: ClassVar[float] = -130.0
 
     name: str
     environment: Environment
@@ -111,10 +115,7 @@ class ExperimentConfig:
     ris_x_sweep: Optional[tuple[float, ...]] = None
     ris_y_sweep: Optional[tuple[float, ...]] = None
     ris_z_sweep: Optional[tuple[float, ...]] = None
-    spacing_m: Optional[float] = None
-    boresight: str = "+y"
     p_t_dbm: float = 20.0
-    n_0_dbm: float = -130.0
     trials: int = 2000
     master_seed: int = 2024
     regime_override: Optional[FieldRegime] = None
@@ -133,23 +134,13 @@ class ExperimentConfig:
         for axis in (self.ris_x_sweep, self.ris_y_sweep, self.ris_z_sweep):
             if axis is not None and len(axis) == 0:
                 raise ValueError("sweep axes must be non-empty when given")
-        for key in ("f_c_ghz", "spacing_m"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ValueError(f"{key} must be positive, got {value}")
-        if self.boresight not in ("+y", "-y"):
-            raise ValueError(f"boresight must be '+y' or '-y', got {self.boresight!r}")
+        if not self.f_c_ghz > 0:
+            raise ValueError(f"f_c_ghz must be positive, got {self.f_c_ghz}")
         bad = [n for n in self.n_elements if n < 0 or math.isqrt(n) ** 2 != n]
         if bad:
             raise ValueError(f"n_elements entries must be 0 or perfect squares, got {bad}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-
-    def spacing(self) -> float:
-        """Inter-element spacing: configured value or half a wavelength."""
-        if self.spacing_m is not None:
-            return self.spacing_m
-        return CarrierConfig(self.f_c_ghz).wavelength_m / 2.0
 
     def sweep_points(self) -> list[SweepPoint]:
         xs = self.ris_x_sweep or (self.ris_center.x,)
@@ -432,13 +423,16 @@ class _Chunk:
 class _PointChannels:
     """Per-point constants of one sweep point.
 
-    The constructor builds the panel, selects the RIS-Rx regime and sizes
-    the point's chunks; ``connect`` then computes the deterministic
-    near-field ``g`` and every stochastic link's constants once. The regime
-    is set before ``connect`` can fail, so a point whose geometry fails
-    still reports it. ``_chunk`` maps the trials of a chunk of connected
-    points; ``trial`` maps one trial alone and adds each link's metadata.
-    Without elements (the no-RIS baseline) ``h`` and ``g`` are empty.
+    The constructor builds the panel, facing the side of its plane the Tx
+    lies on (the Rx's side for a Tx in the plane) with elements half a
+    wavelength apart, selects the RIS-Rx regime and sizes the point's
+    chunks; ``connect`` then computes the deterministic near-field
+    magnitudes |g| and every stochastic link's constants once, and fails
+    for an Rx behind the panel. The regime is set before ``connect`` can
+    fail, so a point whose geometry fails still reports it. ``_chunk`` maps
+    the trials of a chunk of connected points; ``trial`` maps one trial
+    alone and adds each link's metadata. Without elements (the no-RIS
+    baseline) ``h`` and ``g`` are empty.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int, point: SweepPoint):
@@ -448,14 +442,15 @@ class _PointChannels:
         self.carrier = CarrierConfig(config.f_c_ghz)
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
-        self.near = None
+        self.near_g = None
         self.links = {}
         if point.n_elements > 0:
+            side = config.tx.y - point.ris_y or config.rx.y - point.ris_y
             self.panel = PanelGeometry.centered(
                 Point3(point.ris_x, point.ris_y, point.ris_z),
                 point.n_elements,
-                config.spacing(),
-                config.boresight,
+                self.carrier.wavelength_m / 2.0,
+                "-y" if side < 0 else "+y",
             )
             self.regime = select_field_regime(
                 self.panel, config.rx, self.carrier, config.regime_override
@@ -467,15 +462,15 @@ class _PointChannels:
         return self.regime.value if self.panel is not None else "none"
 
     def connect(self) -> "_PointChannels":
-        """The near-field ``g`` and the link constants of the point."""
+        """The near-field |g| and the link constants of the point."""
         config, point = self.config, self.point
         env, carrier = config.environment, self.carrier
         links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
             if self.regime is FieldRegime.NEAR_FIELD:
-                self.near = ris_rx_nearfield(self.panel, config.rx, carrier)
+                self.near_g = np.abs(ris_rx_nearfield(self.panel, config.rx, carrier)[0])
             links["tx_ris"] = _panel_link("tx_ris", env, config.tx, self.panel, carrier)
-            if self.near is None:
+            if self.near_g is None:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, self.panel, carrier)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
@@ -489,8 +484,8 @@ class _PointChannels:
             kind: empty if link is None else link.one_trial(rngs[kind])
             for kind, link in self.links.items()
         }
-        if self.near is not None:
-            out["ris_rx"] = self.near
+        if self.near_g is not None:
+            out["ris_rx"] = ris_rx_nearfield(self.panel, self.config.rx, self.carrier)
         return ChannelRealization(
             h=out["tx_ris"][0],
             g=out["ris_rx"][0],
@@ -537,7 +532,7 @@ def _chunk(parts: list) -> _Chunk:
     if far:
         los["ris_rx"], g = states[n_h:], values[n_h:]
     else:
-        nears = [np.broadcast_to(np.abs(c.near[0]), (len(t), c.panel.n_elements)) for c, t in parts]
+        nears = [np.broadcast_to(c.near_g, (len(t), c.panel.n_elements)) for c, t in parts]
         g = nears[0] if len(nears) == 1 else np.concatenate(nears)
     return _Chunk(h, g, h_siso, los)
 
@@ -823,7 +818,6 @@ def figure_presets() -> dict:
         ris_center=Point3(38, 50, 3),
         ris_z_sweep=(2.0, 3.0),
         n_elements=(64, 256, 1024),
-        boresight="-y",
         regime_override=FieldRegime.NEAR_FIELD,
     )
     fig5a = ExperimentConfig(
@@ -836,7 +830,6 @@ def figure_presets() -> dict:
         ris_x_sweep=_grid(40.0, 98.0, 2.0),
         ris_y_sweep=_grid(52.0, 73.0, 2.0),
         n_elements=(1024,),
-        boresight="-y",
         regime_override=FieldRegime.FAR_FIELD,
     )
     return {
@@ -852,7 +845,6 @@ def figure_presets() -> dict:
             rx=Point3(65, 52, 1),
             ris_center=Point3(62, 55, 7),
             n_elements=(16, 64, 256, 1024, 4096),
-            boresight="-y",
             no_ris_baseline_extra_db=10.0,
         ),
         "fig5a": fig5a,

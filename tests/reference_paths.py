@@ -297,11 +297,17 @@ def trial_channels(config, index, point, trial):
     h = g = np.zeros(0, dtype=complex)
     los_h = None
     if point.n_elements > 0:
+        # The panel faces the Tx (the Rx for a Tx in its plane), and its
+        # elements sit half a wavelength apart.
+        if config.tx.y != point.ris_y:
+            facing = "+y" if config.tx.y > point.ris_y else "-y"
+        else:
+            facing = "+y" if config.rx.y >= point.ris_y else "-y"
         panel = PanelGeometry.centered(
             Point3(point.ris_x, point.ris_y, point.ris_z),
             point.n_elements,
-            config.spacing(),
-            config.boresight,
+            carrier.wavelength_m / 2.0,
+            facing,
         )
         regime = select_field_regime(panel, config.rx, carrier, config.regime_override)
         h, state, _ = tx_ris_channel(config.environment, config.tx, panel, carrier, rng_h)

@@ -31,7 +31,6 @@ def tiny_config_dict():
         rx=Point3(40, 48, 1.5),
         ris_center=Point3(38, 50, 3),
         n_elements=(16,),
-        boresight="-y",
         trials=4,
         master_seed=5,
     ).to_dict()
@@ -138,11 +137,10 @@ class TestRunCommand:
         "key, value",
         [
             ("f_c_ghz", 0),
-            ("boresight", "+x"),
             ("n_elements", 64),
-            ("f_c_ghz", [2.4]),
-            ("trials", [5]),
-            ("tx", [0, 25, "a"]),
+            pytest.param("f_c_ghz", [2.4], id="f_c_ghz-list"),
+            pytest.param("trials", [5], id="trials-list"),
+            pytest.param("tx", [0, 25, "a"], id="tx-string_coordinate"),
             ("trials", 2**32 + 1),
         ],
     )
@@ -201,6 +199,19 @@ class TestRunCommand:
         assert "point 1: rx lies behind the panel" in captured.err
         assert len(captured.out.strip().split("\n")) == 3
 
+    def test_every_point_failed_exits_two_and_keeps_the_output(self, tmp_path, capsys):
+        # The only placement puts the Rx behind the panel, which faces the Tx.
+        raw = {**tiny_config_dict(), "ris_y_sweep": [40.0]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        out.write_text("earlier run\n")
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "1 of 1 sweep points failed" in err
+        assert "point 0: ris_rx: terminal lies behind the panel" in err
+        assert out.read_text() == "earlier run\n"
+
     def test_trials_and_workers_flags(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config_dict()))
@@ -234,7 +245,7 @@ class TestRunCommand:
         assert main(["preset", "fig4", "--trials", "1", "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("name", [1, 2]), ("boresight", 1)])
+    @pytest.mark.parametrize("key, value", [("name", [1, 2])])
     def test_non_string_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
         raw = {**tiny_config_dict(), key: value}
         path = tmp_path / "bad.json"
@@ -243,12 +254,20 @@ class TestRunCommand:
         assert f"{key} must be a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("element_pattern_q", 0.285), ("steering_convention", "reference")]
+        "key, value",
+        [
+            ("element_pattern_q", 0.285),
+            ("steering_convention", "reference"),
+            ("boresight", "-y"),
+            ("spacing_m", 0.0625),
+            ("n_0_dbm", -130.0),
+        ],
     )
     def test_model_constant_key_exits_one_before_the_sweep(
         self, tmp_path, capsys, monkeypatch, key, value
     ):
-        # The element pattern and the steering convention are no config keys.
+        # The element pattern, the steering convention, the panel's facing and
+        # spacing and the noise power are no config keys.
         monkeypatch.setattr(cli, "run_experiment", no_sweep)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**tiny_config_dict(), key: value}))

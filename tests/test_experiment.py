@@ -52,7 +52,6 @@ def small_config(**kwargs):
         rx=Point3(40, 48, 1.5),
         ris_center=Point3(38, 50, 3),
         n_elements=(16,),
-        boresight="-y",
         trials=8,
         master_seed=99,
         regime_override=FieldRegime.NEAR_FIELD,
@@ -76,7 +75,6 @@ class TestConfig:
                 ris_x_sweep=(36.0, 38.5),
                 ris_y_sweep=(50.0,),
                 ris_z_sweep=(2.0, 3.0),
-                spacing_m=0.07,
                 regime_override=FieldRegime.FAR_FIELD,
                 no_ris_baseline_extra_db=0.0,
             ),
@@ -127,8 +125,15 @@ class TestConfig:
         raw["seed"] = 1
         with pytest.raises(ValueError, match="unknown config keys: seed, trails"):
             ExperimentConfig.from_dict(raw)
-        # The element pattern and the steering convention are model constants.
-        for key, value in (("element_pattern_q", 0.285), ("steering_convention", "reference")):
+        # The element pattern, the steering convention, the panel's facing and
+        # spacing and the noise power are model constants.
+        for key, value in (
+            ("element_pattern_q", 0.285),
+            ("steering_convention", "reference"),
+            ("boresight", "-y"),
+            ("spacing_m", 0.0625),
+            ("n_0_dbm", -130.0),
+        ):
             with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
                 ExperimentConfig.from_dict({**small_config().to_dict(), key: value})
 
@@ -137,10 +142,6 @@ class TestConfig:
         [
             ("f_c_ghz", 0.0),
             ("f_c_ghz", float("nan")),
-            ("spacing_m", -0.5),
-            ("spacing_m", 0.0),
-            ("boresight", "+x"),
-            ("boresight", "y"),
             pytest.param("n_elements", (64, 15), id="n_elements-not_square"),
             pytest.param("n_elements", (-4,), id="n_elements-negative"),
             ("master_seed", -1),
@@ -180,10 +181,7 @@ class TestConfig:
         "key, value",
         [
             ("p_t_dbm", math.nan),
-            ("n_0_dbm", -math.inf),
             ("f_c_ghz", math.inf),
-            ("spacing_m", math.inf),
-            ("spacing_m", -math.inf),
             ("no_ris_baseline_extra_db", math.nan),
             pytest.param("ris_x_sweep", (38.0, math.inf), id="ris_x_sweep-inf_entry"),
             pytest.param("ris_z_sweep", (math.nan,), id="ris_z_sweep-nan_entry"),
@@ -225,7 +223,6 @@ class TestConfig:
             pytest.param("n_elements", [True, 4], id="n_elements-boolean_entry"),
             ("f_c_ghz", "2.4"),
             ("trials", "20"),
-            ("spacing_m", True),
             ("no_ris_baseline_extra_db", "10"),
             pytest.param("ris_x_sweep", [38.0, "40"], id="ris_x_sweep-string_entry"),
             pytest.param("tx", [0, 25, True], id="tx-boolean_coordinate"),
@@ -246,18 +243,12 @@ class TestConfig:
         [
             pytest.param("name", [1, 2], id="name-list"),
             ("name", None),
-            ("boresight", 1),
         ],
     )
     def test_from_dict_rejects_a_non_string_for_a_string_key(self, key, value):
         raw = {**small_config().to_dict(), key: value}
         with pytest.raises(ValueError, match=f"{key} must be a string, got "):
             ExperimentConfig.from_dict(raw)
-
-    def test_default_spacing_is_half_wavelength(self):
-        config = small_config()
-        assert config.spacing() == pytest.approx(0.1249167 / 2, abs=1e-6)
-        assert small_config(spacing_m=0.07).spacing() == 0.07
 
 
 class TestRunExperiment:
@@ -621,7 +612,6 @@ class TestFastPathMatchesReference:
             rx=Point3(*rx),
             ris_center=Point3(*ris),
             n_elements=(side * side,),
-            boresight="-y",
             trials=3,
             master_seed=seed,
             regime_override=regime,
@@ -1212,10 +1202,7 @@ PRESET_DEFAULTS = {
     "ris_x_sweep": None,
     "ris_y_sweep": None,
     "ris_z_sweep": None,
-    "spacing_m": None,
-    "boresight": "-y",
     "p_t_dbm": 20.0,
-    "n_0_dbm": -130.0,
     "trials": 2000,
     "master_seed": 2024,
     "regime_override": None,
@@ -1343,3 +1330,54 @@ class TestPresets:
                 )
                 stats = run_experiment(thin)
                 assert all(r.error is None for r in stats.rows), name
+
+
+def mirrored(config):
+    """``config`` reflected in the plane y = 0: terminals, panel and y sweep."""
+
+    def flip(p):
+        return Point3(p.x, -p.y, p.z)
+
+    ys = config.ris_y_sweep
+    return replace(
+        config,
+        tx=flip(config.tx),
+        rx=flip(config.rx),
+        ris_center=flip(config.ris_center),
+        ris_y_sweep=None if ys is None else tuple(-y for y in ys),
+    )
+
+
+class TestDerivedPanel:
+    """Each panel faces its Tx, so the config names no facing."""
+
+    @pytest.mark.parametrize("name", list(PRESET_FIELDS))
+    def test_mirrored_preset_gives_the_same_rows(self, name):
+        config = replace(figure_presets()[name], trials=3)
+        if name == "fig5a":
+            config = replace(
+                config, ris_x_sweep=config.ris_x_sweep[::6], ris_y_sweep=config.ris_y_sweep[::5]
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_experiment(config).rows
+            flipped = run_experiment(mirrored(config)).rows
+        assert all(row.error is None for row in rows + flipped)
+        # Every row but its ris_y is the original's, bit for bit (repr is exact).
+        unflipped = [replace(r, point=replace(r.point, ris_y=-r.point.ris_y)) for r in flipped]
+        assert [repr(row) for row in unflipped] == [repr(row) for row in rows]
+
+    def test_tx_in_the_panel_plane_takes_the_rx_side(self):
+        config = small_config(
+            tx=Point3(0, 50, 3), rx=Point3(40, 48, 1.5), ris_center=Point3(38, 50, 3), trials=4
+        )
+        channels = _PointChannels(config, 0, config.sweep_points()[0])
+        assert channels.panel.boresight == "-y"
+        (row,) = run_experiment(config).rows
+        assert row.error is None
+        assert math.isfinite(row.mean_rate_bps_hz) and row.mean_rate_bps_hz > 0.0
+
+    def test_elements_sit_half_a_wavelength_apart(self):
+        config = small_config(f_c_ghz=5.8)
+        channels = _PointChannels(config, 0, config.sweep_points()[0])
+        assert channels.panel.spacing == CarrierConfig(5.8).wavelength_m / 2.0

@@ -116,15 +116,6 @@ class TestPathLoss:
 
 
 class TestScenarioData:
-    @pytest.mark.parametrize("env", list(Environment))
-    @pytest.mark.parametrize("los", [True, False])
-    def test_embedded_tables_load(self, env, los):
-        params = load_scenario_params(env, los)
-        assert params.rays_per_cluster == len(params.ray_offsets) == 20
-        assert params.delay_scaling > 1.0
-        eigs = np.linalg.eigvalsh(params.cross_correlation)
-        assert eigs.min() >= -1e-12
-
     def test_cluster_counts_by_state(self):
         assert load_scenario_params(Environment.INH, True).cluster_count == 15
         assert load_scenario_params(Environment.INH, False).cluster_count == 19
@@ -172,7 +163,7 @@ class TestShippedTables:
         assert tuple(raw["lsp_order"]) == LSP_ORDER
         c, s = raw["cluster_count"], raw["rays_per_cluster"]
         assert c >= 1 and s >= 1
-        assert s == len(consts["ray_offsets"])
+        assert s == len(consts["ray_offsets"]) == 20
         assert raw["delay_scaling"] > 1.0
         m = np.array(raw["cross_correlation"], dtype=float)
         assert m.shape == (7, 7)
