@@ -1381,3 +1381,47 @@ class TestDerivedPanel:
         config = small_config(f_c_ghz=5.8)
         channels = _PointChannels(config, 0, config.sweep_points()[0])
         assert channels.panel.spacing == CarrierConfig(5.8).wavelength_m / 2.0
+
+    @pytest.mark.parametrize(
+        "tx_y, rx_y, facing", [(25.0, 48.0, "-y"), (75.0, 52.0, "+y")], ids=["tx_below", "tx_above"]
+    )
+    def test_panel_faces_the_side_the_tx_lies_on(self, tx_y, rx_y, facing):
+        config = small_config(tx=Point3(0, tx_y, 3), rx=Point3(40, rx_y, 1.5))
+        channels = _PointChannels(config, 0, config.sweep_points()[0])
+        assert channels.panel.boresight == facing
+        (row,) = run_experiment(config).rows
+        assert row.error is None and math.isfinite(row.mean_rate_bps_hz)
+
+    @pytest.mark.parametrize(
+        "regime, message",
+        [
+            (FieldRegime.NEAR_FIELD, "rx lies behind the panel"),
+            (FieldRegime.FAR_FIELD, "ris_rx: terminal lies behind the panel"),
+        ],
+        ids=["near_field", "far_field"],
+    )
+    def test_rx_on_the_far_side_gets_an_error_row(self, regime, message):
+        # The panel faces the Tx (y < 50); an Rx at y > 50 sees its back.
+        config = small_config(rx=Point3(40, 60, 1.5), n_elements=(16, 0), regime_override=regime)
+        ris_row, baseline = run_experiment(config).rows
+        assert ris_row.error == message and math.isnan(ris_row.mean_rate_bps_hz)
+        assert baseline.error is None and math.isfinite(baseline.mean_rate_bps_hz)
+
+
+class TestModelConstants:
+    def test_noise_power_is_a_class_constant_not_a_field(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert names.isdisjoint({"boresight", "spacing_m", "n_0_dbm"})
+        assert len(names) == 15
+        assert small_config().n_0_dbm == ExperimentConfig.n_0_dbm == -130.0
+        # The link budget's default noise power is the same constant.
+        assert LinkBudget.from_dbm(20.0) == LinkBudget.from_dbm(20.0, ExperimentConfig.n_0_dbm)
+
+    def test_nearfield_point_holds_magnitudes_and_trial_gives_the_complex_g(self):
+        config = small_config(n_elements=(64,))
+        channels = _PointChannels(config, 0, config.sweep_points()[0]).connect()
+        g = channel.ris_rx_nearfield(channels.panel, config.rx, channels.carrier)[0]
+        assert channels.links["ris_rx"] is None
+        assert channels.near_g.dtype == np.float64 and channels.near_g.shape == (64,)
+        np.testing.assert_array_equal(channels.near_g, np.abs(g))
+        np.testing.assert_array_equal(channels.trial(0).g, g)
