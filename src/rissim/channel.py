@@ -589,18 +589,6 @@ def _plate_gain(dx, dz, y: float, side: float) -> np.ndarray:
     return total / (4.0 * np.pi)
 
 
-def nearfield_plate_gain(center: Point3, side: float, rx: Point3) -> float:
-    """Exact captured-power fraction |g|^2 of one square plate seen from ``rx``.
-
-    Raises:
-        ValueError: if the receiver lies in the plate plane.
-    """
-    y = abs(center.y - rx.y)
-    if y == 0.0:
-        raise ValueError("receiver lies in the panel plane")
-    return float(_plate_gain(center.x - rx.x, center.z - rx.z, y, side))
-
-
 def ris_rx_nearfield(
     panel: PanelGeometry, rx: Point3, carrier: CarrierConfig
 ) -> tuple[np.ndarray, LinkMetadata]:

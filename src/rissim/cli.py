@@ -16,11 +16,7 @@ from .experiment import (
     figure_presets,
     run_experiment,
 )
-from .geometry import Point3
 from .largescale import Environment, load_scenario_params
-from .channel import nearfield_plate_gain
-from .link import LinkBudget, evaluate_link
-from .oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -60,7 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     preset.add_argument("name", help="preset name (see list-presets)")
     add_run_options(preset)
 
-    sub.add_parser("validate", help="run the built-in oracle checks")
+    sub.add_parser(
+        "validate", help="check the install's tables, generator sign bits and stream words"
+    )
     sub.add_parser("list-presets", help="list built-in presets and coordinates")
     return parser
 
@@ -127,54 +125,13 @@ def _cmd_list_presets() -> int:
 
 
 def _cmd_validate() -> int:
-    rng = np.random.default_rng(12345)
+    """Check what the install supplies; a failed check would change every number."""
     failures = 0
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
+    def report(name: str, ok: bool) -> None:
         nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status} {name}{suffix}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += not ok
-
-    worst = 0.0
-    for _ in range(20):
-        side = rng.uniform(0.02, 0.15)
-        center = Point3(rng.uniform(-1, 1), 0.0, rng.uniform(-1, 1))
-        rx = Point3(
-            center.x + rng.uniform(-10, 10) * side,
-            rng.uniform(0.5, 30) * side,
-            center.z + rng.uniform(-10, 10) * side,
-        )
-        whole = nearfield_plate_gain(center, side, rx)
-        for k in (2, 4, 8):
-            sub = nearfield_gain_subdivided(center, side, rx, SubdivisionSpec(k))
-            worst = max(worst, abs(sub - whole) / abs(whole))
-    report("near-field subdivision additivity", worst < 1e-10, f"worst rel {worst:.2e}")
-
-    side = 0.0625
-    ratios = []
-    for mult in (10, 30, 100):
-        y = mult * side
-        gain = nearfield_plate_gain(Point3(0, 0, 0), side, Point3(0, y, 0))
-        ratios.append(gain * 4 * np.pi * y**2 / side**2)
-    ok = abs(ratios[0] - 1) < 0.01 and abs(ratios[2] - 1) <= abs(ratios[0] - 1)
-    report("near-field far-distance limit", ok, f"ratios {[f'{r:.5f}' for r in ratios]}")
-
-    budget = LinkBudget(p_t_mw=1.0, n_0_mw=1.0)
-    ok = True
-    worst_gap = 0.0
-    for _ in range(10):
-        n = int(rng.integers(1, 4))
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h_siso = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        snr_opt = evaluate_link(h, g, h_siso, budget).snr_linear
-        snr_grid = phase_grid_search(h, g, h_siso, 100, budget)
-        gap = (snr_opt - snr_grid) / snr_opt
-        worst_gap = max(worst_gap, abs(gap))
-        ok = ok and snr_opt >= snr_grid - 1e-12 and abs(gap) < 1e-3
-    report("closed-form SNR beats grid search", ok, f"worst gap {worst_gap:.2e}")
 
     # Building a table is where a correlation matrix that is not PSD raises.
     try:

@@ -44,7 +44,7 @@ from .channel import (  # noqa: F401
 )
 from .geometry import CarrierConfig, PanelGeometry, Point3
 from .largescale import Environment
-from .link import LinkBudget, evaluate_link
+from .link import N_0_DBM, LinkBudget, evaluate_link
 
 CSV_COLUMNS = (
     "preset",
@@ -103,7 +103,7 @@ class ExperimentConfig:
     (``_PointChannels``), and the noise power is the class constant below.
     """
 
-    n_0_dbm: ClassVar[float] = -130.0
+    n_0_dbm: ClassVar[float] = N_0_DBM
 
     name: str
     environment: Environment
@@ -426,13 +426,15 @@ class _PointChannels:
     The constructor builds the panel, facing the side of its plane the Tx
     lies on (the Rx's side for a Tx in the plane) with elements half a
     wavelength apart, selects the RIS-Rx regime and sizes the point's
-    chunks; ``connect`` then computes the deterministic near-field
-    magnitudes |g| and every stochastic link's constants once, and fails
-    for an Rx behind the panel. The regime is set before ``connect`` can
-    fail, so a point whose geometry fails still reports it. ``_chunk`` maps
-    the trials of a chunk of connected points; ``trial`` maps one trial
-    alone and adds each link's metadata. Without elements (the no-RIS
-    baseline) ``h`` and ``g`` are empty.
+    chunks; ``connect`` then computes every stochastic link's constants
+    once, and fails for an Rx behind the panel in the far field. A
+    near-field point's deterministic magnitudes |g| are computed once, when
+    its first chunk reads ``near_g``, which fails for an Rx behind the
+    panel. The regime is set before either can fail, so a point whose
+    geometry fails still reports it. ``_chunk`` maps the trials of a chunk
+    of connected points; ``trial`` maps one trial alone and adds each link's
+    metadata. Without elements (the no-RIS baseline) ``h`` and ``g`` are
+    empty.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int, point: SweepPoint):
@@ -442,7 +444,6 @@ class _PointChannels:
         self.carrier = CarrierConfig(config.f_c_ghz)
         self.panel = None
         self.regime = FieldRegime.FAR_FIELD
-        self.near_g = None
         self.links = {}
         if point.n_elements > 0:
             side = config.tx.y - point.ris_y or config.rx.y - point.ris_y
@@ -461,16 +462,19 @@ class _PointChannels:
     def regime_name(self) -> str:
         return self.regime.value if self.panel is not None else "none"
 
+    @functools.cached_property
+    def near_g(self) -> np.ndarray:
+        """The near-field magnitudes |g| of the point, (N,) float64."""
+        return np.abs(ris_rx_nearfield(self.panel, self.config.rx, self.carrier)[0])
+
     def connect(self) -> "_PointChannels":
-        """The near-field |g| and the link constants of the point."""
+        """The link constants of the point; a near-field RIS-Rx link has none."""
         config, point = self.config, self.point
         env, carrier = config.environment, self.carrier
         links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
-            if self.regime is FieldRegime.NEAR_FIELD:
-                self.near_g = np.abs(ris_rx_nearfield(self.panel, config.rx, carrier)[0])
             links["tx_ris"] = _panel_link("tx_ris", env, config.tx, self.panel, carrier)
-            if self.near_g is None:
+            if self.regime is FieldRegime.FAR_FIELD:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, self.panel, carrier)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
@@ -484,7 +488,7 @@ class _PointChannels:
             kind: empty if link is None else link.one_trial(rngs[kind])
             for kind, link in self.links.items()
         }
-        if self.near_g is not None:
+        if self.regime is FieldRegime.NEAR_FIELD:
             out["ris_rx"] = ris_rx_nearfield(self.panel, self.config.rx, self.carrier)
         return ChannelRealization(
             h=out["tx_ris"][0],

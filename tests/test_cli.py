@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import indefinite_table
@@ -283,9 +284,6 @@ class TestValidate:
         # Every check by name, so a dropped or renamed check fails here.
         checks = [line.split(" (")[0] for line in out.splitlines()]
         assert checks == [
-            "PASS near-field subdivision additivity",
-            "PASS near-field far-distance limit",
-            "PASS closed-form SNR beats grid search",
             "PASS shipped correlation matrices are PSD",
             "PASS float32 sign bits match integers(0, 2)",
             "PASS chunk state words match their SeedSequence keys",
@@ -296,6 +294,39 @@ class TestValidate:
         assert main(["validate"]) == 2
         out = capsys.readouterr().out
         assert "FAIL shipped correlation matrices are PSD" in out.splitlines()
+
+    def test_wrong_sign_bits_fail(self, capsys, monkeypatch):
+        make = np.random.default_rng
+
+        class Mirrored:
+            """A generator whose uniforms are mirrored, so their top bits flip."""
+
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def random(self, *args, **kwargs):
+                return 1.0 - self.rng.random(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Mirrored)
+        assert main(["validate"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL float32 sign bits match integers(0, 2)" in out.splitlines()
+
+    def test_wrong_state_words_fail(self, capsys, monkeypatch):
+        derive = cli._stream_words
+
+        def flipped(*args):
+            words = derive(*args)
+            words[0, 0, 0] ^= np.uint64(1)
+            return words
+
+        monkeypatch.setattr(cli, "_stream_words", flipped)
+        assert main(["validate"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL chunk state words match their SeedSequence keys" in out.splitlines()
 
 
 class TestBadUsage:

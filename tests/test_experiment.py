@@ -1425,3 +1425,24 @@ class TestModelConstants:
         assert channels.near_g.dtype == np.float64 and channels.near_g.shape == (64,)
         np.testing.assert_array_equal(channels.near_g, np.abs(g))
         np.testing.assert_array_equal(channels.trial(0).g, g)
+
+    def test_nearfield_g_is_computed_once_per_call_and_once_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return channel.ris_rx_nearfield(*args)
+
+        monkeypatch.setattr(experiment, "ris_rx_nearfield", counted)
+        config = small_config(n_elements=(64, 256), trials=130)
+        points = config.sweep_points()
+        for trial in range(3):
+            generate_realization(config, points[0], 0, trial)
+        assert len(calls) == 3
+        # 130 trials take three chunks of 60 at both element counts.
+        channels = _PointChannels(config, 1, points[1])
+        assert channels.regime is FieldRegime.NEAR_FIELD and channels.chunk_trials == 60
+        calls.clear()
+        rows = run_experiment(config).rows
+        assert all(row.error is None for row in rows)
+        assert len(calls) == len(points) == 2

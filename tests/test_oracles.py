@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from rissim.channel import nearfield_plate_gain
+from reference_paths import (
+    nearfield_gain_subdivided,
+    nearfield_plate_gain,
+    optimal_phases,
+    phase_grid_search,
+    received_snr,
+)
 from rissim.geometry import Point3
-from rissim.link import LinkBudget, optimal_phases, received_snr
-from rissim.oracles import SubdivisionSpec, nearfield_gain_subdivided, phase_grid_search
+from rissim.link import LinkBudget
 
 
 class TestSubdivisionOracle:
@@ -18,27 +23,27 @@ class TestSubdivisionOracle:
                 center.z + rng.uniform(-10, 10) * side,
             )
             whole = nearfield_plate_gain(center, side, rx)
-            sub = nearfield_gain_subdivided(center, side, rx, SubdivisionSpec(2))
+            sub = nearfield_gain_subdivided(center, side, rx, 2)
             assert sub == pytest.approx(whole, rel=1e-10)
 
     def test_k8_matches_k2(self, rng):
         center = Point3(0, 0, 0)
         rx = Point3(0.1, 0.8, -0.2)
-        k2 = nearfield_gain_subdivided(center, 0.1, rx, SubdivisionSpec(2))
-        k8 = nearfield_gain_subdivided(center, 0.1, rx, SubdivisionSpec(8))
+        k2 = nearfield_gain_subdivided(center, 0.1, rx, 2)
+        k8 = nearfield_gain_subdivided(center, 0.1, rx, 8)
         assert k8 == pytest.approx(k2, rel=1e-10)
 
     def test_boresight_far_limit(self):
         side = 0.05
         y = 100 * side
         gain = nearfield_gain_subdivided(
-            Point3(0, 0, 0), side, Point3(0, y, 0), SubdivisionSpec(4)
+            Point3(0, 0, 0), side, Point3(0, y, 0), 4
         )
         assert gain * 4 * np.pi * y**2 / side**2 == pytest.approx(1.0, abs=1e-4)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
-            SubdivisionSpec(1)
+            nearfield_gain_subdivided(Point3(0, 0, 0), 0.1, Point3(0, 1, 0), 1)
 
 
 class TestPhaseGridSearch:
