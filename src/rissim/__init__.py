@@ -5,20 +5,14 @@ Generates 3D geometry-based stochastic channels for the Tx-RIS, RIS-Rx
 optimally and estimates achievable rate via Monte Carlo experiments.
 """
 
-from .channel import (
-    FieldRegime,
-    ris_rx_farfield,
-    ris_rx_nearfield,
-    siso_channel,
-    tx_ris_channel,
-)
+from .channel import FieldRegime
 from .experiment import (
     ExperimentConfig,
     figure_presets,
     generate_realization,
     run_experiment,
 )
-from .geometry import CarrierConfig, PanelGeometry, Point3
+from .geometry import Point3
 from .largescale import Environment, load_scenario_params
 from .link import LinkBudget, evaluate_link
 

@@ -589,6 +589,16 @@ def _plate_gain(dx, dz, y: float, side: float) -> np.ndarray:
     return total / (4.0 * np.pi)
 
 
+def _nearfield_rx_distance(panel: PanelGeometry, rx: Point3) -> float:
+    """Distance of the Rx from the panel plane; raises for an Rx in or behind it."""
+    y = abs(panel.first_element.y - rx.y)
+    if y == 0.0:
+        raise ValueError("rx lies in the panel plane")
+    if panel.boresight_sign * (rx.y - panel.first_element.y) < 0.0:
+        raise ValueError("rx lies behind the panel")
+    return y
+
+
 def ris_rx_nearfield(
     panel: PanelGeometry, rx: Point3, carrier: CarrierConfig
 ) -> tuple[np.ndarray, LinkMetadata]:
@@ -601,13 +611,8 @@ def ris_rx_nearfield(
     Raises:
         ValueError: if the Rx lies in the panel plane or behind the panel.
     """
+    y = _nearfield_rx_distance(panel, rx)
     grid = panel.element_grid()
-    y = abs(grid[0, 1] - rx.y)
-    if y == 0.0:
-        raise ValueError("rx lies in the panel plane")
-    if panel.boresight_sign * (rx.y - grid[0, 1]) < 0.0:
-        raise ValueError("rx lies behind the panel")
-
     dx = grid[:, 0] - rx.x
     dz = grid[:, 2] - rx.z
     magnitudes = np.sqrt(_plate_gain(dx, dz, y, panel.spacing))

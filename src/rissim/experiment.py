@@ -35,6 +35,7 @@ from .channel import (  # noqa: F401
     _chunk_trials,
     _direct_link,
     _Link,
+    _nearfield_rx_distance,
     _panel_link,
     ris_rx_farfield,
     ris_rx_nearfield,
@@ -141,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"n_elements entries must be 0 or perfect squares, got {bad}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.tx == self.rx:
+            raise ValueError("tx and rx coincide")
 
     def sweep_points(self) -> list[SweepPoint]:
         xs = self.ris_x_sweep or (self.ris_center.x,)
@@ -427,14 +430,15 @@ class _PointChannels:
     lies on (the Rx's side for a Tx in the plane) with elements half a
     wavelength apart, selects the RIS-Rx regime and sizes the point's
     chunks; ``connect`` then computes every stochastic link's constants
-    once, and fails for an Rx behind the panel in the far field. A
-    near-field point's deterministic magnitudes |g| are computed once, when
-    its first chunk reads ``near_g``, which fails for an Rx behind the
-    panel. The regime is set before either can fail, so a point whose
-    geometry fails still reports it. ``_chunk`` maps the trials of a chunk
-    of connected points; ``trial`` maps one trial alone and adds each link's
-    metadata. Without elements (the no-RIS baseline) ``h`` and ``g`` are
-    empty.
+    once. It settles the RIS-Rx side first, so a point whose Rx lies behind
+    the panel (or, in the near field, in its plane) fails before the Tx-RIS
+    link is built and can warn. A near-field point's deterministic
+    magnitudes |g| are computed once, when its first chunk reads
+    ``near_g``. The regime is set before ``connect`` can fail, so a point
+    whose geometry fails still reports it. ``_chunk`` maps the trials of a
+    chunk of connected points; ``trial`` maps one trial alone and adds each
+    link's metadata. Without elements (the no-RIS baseline) ``h`` and ``g``
+    are empty.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int, point: SweepPoint):
@@ -473,9 +477,11 @@ class _PointChannels:
         env, carrier = config.environment, self.carrier
         links = {"tx_ris": None, "ris_rx": None}
         if point.n_elements > 0:
-            links["tx_ris"] = _panel_link("tx_ris", env, config.tx, self.panel, carrier)
             if self.regime is FieldRegime.FAR_FIELD:
                 links["ris_rx"] = _panel_link("ris_rx", env, config.rx, self.panel, carrier)
+            else:
+                _nearfield_rx_distance(self.panel, config.rx)
+            links["tx_ris"] = _panel_link("tx_ris", env, config.tx, self.panel, carrier)
         links["tx_rx"] = _direct_link(env, config.tx, config.rx, carrier)
         self.links = links
         return self
@@ -675,27 +681,22 @@ _OPENBLAS_THREAD_FUNCS = (
 
 @functools.cache
 def _openblas_thread_funcs():
-    """(get, set) thread-count functions of the OpenBLAS loaded in this process.
+    """(get, set) thread-count functions of the OpenBLAS numpy's ``matmul`` uses.
 
-    None when no loaded library exports them, or when the process's mapped
-    libraries cannot be listed (``/proc/self/maps`` exists on Linux only).
+    Looked up through a handle on numpy's linear-algebra extension, a private
+    numpy name (``numpy.linalg._umath_linalg``): a symbol lookup on that
+    handle also searches the libraries the extension was linked with, so it
+    finds numpy's BLAS whatever other BLAS builds are loaded. None when that
+    BLAS exports neither pair, or where a lookup does not search a module's
+    dependencies (Windows).
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

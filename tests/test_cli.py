@@ -275,6 +275,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert f"config error: unknown config keys: {key}\n" in capsys.readouterr().err
 
+    def test_coincident_tx_and_rx_exits_one_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        raw = tiny_config_dict()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "rx": raw["tx"]}))
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+        assert "config error: tx and rx coincide\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_validate_passes(self, capsys):

@@ -155,6 +155,13 @@ class TestConfig:
     def test_accepts_the_no_ris_entry(self):
         assert small_config(n_elements=(0, 1, 64)).n_elements == (0, 1, 64)
 
+    def test_rejects_coincident_tx_and_rx(self):
+        # The small config's Tx is at (0, 25, 3); no point of it could run.
+        with pytest.raises(ValueError, match="^tx and rx coincide$"):
+            small_config(rx=Point3(0.0, 25.0, 3.0))
+        with pytest.raises(ValueError, match="^tx and rx coincide$"):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "rx": [0, 25, 3]})
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -1127,6 +1134,24 @@ class TestBlasThreads:
             assert pool.submit(_set_blas_threads, 1).result(timeout=60) == 1
 
 
+def test_blas_thread_control_is_found_where_numpy_links_openblas():
+    # TestBlasThreads is skipped when the lookup finds nothing; here a lookup
+    # that misses the OpenBLAS numpy names fails instead.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy links {blas}, not OpenBLAS")
+    funcs = experiment._openblas_thread_funcs()
+    assert funcs is not None
+    get, set_ = funcs
+    before = get()
+    try:
+        for count in (2, 1):
+            set_(count)
+            assert get() == count
+    finally:
+        set_(before)
+
+
 class TestOutputs:
     def test_csv_schema(self):
         stats = run_experiment(small_config(trials=3))
@@ -1406,6 +1431,28 @@ class TestDerivedPanel:
         ris_row, baseline = run_experiment(config).rows
         assert ris_row.error == message and math.isnan(ris_row.mean_rate_bps_hz)
         assert baseline.error is None and math.isfinite(baseline.mean_rate_bps_hz)
+
+    @pytest.mark.parametrize(
+        "regime, message",
+        [
+            (None, "rx lies behind the panel"),
+            (FieldRegime.FAR_FIELD, "ris_rx: terminal lies behind the panel"),
+        ],
+        ids=["auto_near_field", "far_field"],
+    )
+    def test_rx_behind_the_panel_fails_before_the_tx_ris_link_warns(self, regime, message):
+        # At N=4096 the fig4 Tx lies inside the Fraunhofer distance, which the
+        # Tx-RIS link warns about; a point whose Rx sees the panel's back
+        # fails before it builds that link.
+        config = replace(
+            figure_presets()["fig4"], rx=Point3(65, 60, 1), n_elements=(4096,),
+            no_ris_baseline_extra_db=None, trials=2, regime_override=regime,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (row,) = run_experiment(config).rows
+        assert row.error == message
+        assert [str(w.message) for w in caught] == []
 
 
 class TestModelConstants:
