@@ -12,16 +12,14 @@ PATTERN_Q = 0.285
 def element_gain(zenith_deg):
     """Linear element power gain 2(2q+1) * cos^{2q}(90 - zenith) toward the zenith angle(s).
 
-    Maximal at broadside (zenith 90 degrees), where it equals 2(2q+1).
-    Directions with a non-positive cosine argument (outside the open
-    (0, 180) zenith range) clamp to zero gain, avoiding fractional powers
-    of negative numbers.
+    Returns an array shaped like ``zenith_deg``. Maximal at broadside
+    (zenith 90 degrees), where it equals 2(2q+1). Directions with a
+    non-positive cosine argument (outside the open (0, 180) zenith range)
+    clamp to zero gain, avoiding fractional powers of negative numbers.
     """
     cosine = np.cos(np.radians(90.0 - np.asarray(zenith_deg, dtype=float)))
     gain = 2.0 * (2.0 * PATTERN_Q + 1.0) * np.clip(cosine, 0.0, None) ** (2.0 * PATTERN_Q)
-    if np.ndim(zenith_deg) == 0:
-        return float(gain)
-    return gain
+    return np.asarray(gain)
 
 
 def steering_phase_factors(zenith_deg, azimuth_deg) -> tuple[np.ndarray, np.ndarray]:

@@ -136,7 +136,6 @@ class FieldRegime(Enum):
 class LinkMetadata:
     """What went into one generated link, for inspection and statistics."""
 
-    kind: str
     state: LinkState
     path_loss_db: Optional[float] = None
     lsps: Optional[LargeScaleParams] = None
@@ -151,7 +150,6 @@ class ChannelRealization:
 
     h: np.ndarray
     g: np.ndarray
-    g_regime: FieldRegime
     h_siso: complex
     metadata: dict
 
@@ -170,25 +168,23 @@ def _assemble_panel_channel(
     the element index each factor is a geometric series, built by repeated
     doubling from one complex exponential per ray.
 
-    A cluster set with a leading trial axis (and ``pl_linear`` of shape (T,))
-    gives one vector per trial, shape (T, N). Each trial's product is
-    written straight into its vector: into item t of ``out`` when given
-    (anything whose item t is trial t's (N,) vector, which is returned),
-    else into a new complex array. Real vectors in ``out`` get the product's
-    magnitude, which is all the optimal-phase SNR reads: each product is
-    formed in one reused (side, side) complex scratch and its ``np.abs``
-    written into the vector. A trial with no surviving ray gets zeros. The
-    surviving rays are gathered first and the reference to ``cluster_set``
-    dropped, so a caller that passes the set as a temporary frees its ray
-    arrays before the factors are built. The factors are built in tiles of
-    whole trials, each tile's (2, side, R) block within ``_CHUNK_BYTES //
-    _TILE_SHARE`` or of one trial, in one reused workspace; each trial's
-    product takes its own columns of its tile's.
+    The cluster set has a leading trial axis and ``pl_linear`` is (T,): one
+    vector per trial, shape (T, N). Each trial's product is written straight
+    into its vector: into item t of ``out`` when given (anything whose item
+    t is trial t's (N,) vector, which is returned), else into a new complex
+    (T, N) array. Real vectors in ``out`` get the product's magnitude, which
+    is all the optimal-phase SNR reads: each product is formed in one reused
+    (side, side) complex scratch and its ``np.abs`` written into the vector.
+    A trial with no surviving ray gets zeros. The surviving rays are
+    gathered first and the reference to ``cluster_set`` dropped, so a caller
+    that passes the set as a temporary frees its ray arrays before the
+    factors are built. The factors are built in tiles of whole trials, each
+    tile's (2, side, R) block within ``_CHUNK_BYTES // _TILE_SHARE`` or of
+    one trial, in one reused workspace; each trial's product takes its own
+    columns of its tile's.
     """
     mask = cluster_set.ray_mask
-    lead = mask.shape[:-2]
-    n_clusters, n_rays = mask.shape[-2:]
-    n_trials = mask.size // (n_clusters * n_rays)
+    n_trials, n_clusters, n_rays = mask.shape
     vectors = np.empty((n_trials, panel.n_elements), dtype=complex) if out is None else out
     # The flat indices of the surviving rays, in trial, cluster, ray order.
     rays = np.flatnonzero(mask)
@@ -208,7 +204,7 @@ def _assemble_panel_channel(
     del rays
     coeffs = (
         np.sqrt(powers / n_rays)
-        * np.sqrt(gains / np.reshape(pl_linear, -1)[trial])
+        * np.sqrt(gains / pl_linear[trial])
         * np.exp(1j * phases)
     )
     del powers, gains, phases
@@ -258,7 +254,7 @@ def _assemble_panel_channel(
             else:
                 row[...] = 0.0
         first = last
-    return vectors.reshape(lead + (panel.n_elements,)) if out is None else vectors
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,6 @@ class _Link:
     links.
     """
 
-    kind: str
     env: Environment
     forced_los: bool
     los_probability: float
@@ -442,7 +437,6 @@ class _Link:
         value, pl_db, lsps, clusters = self.map_draws([(self, rng)], los)
         clusters = None if clusters is None else _trial_of(clusters, 0)
         return value[0], LinkMetadata(
-            kind=self.kind,
             state=LinkState(los=los, forced=self.forced_los),
             path_loss_db=float(pl_db[0]),
             lsps=_trial_of(lsps, 0),
@@ -492,7 +486,6 @@ def _panel_link(
         )
     forced = center.z >= terminal.z
     return _Link(
-        kind=kind,
         env=env,
         forced_los=forced,
         los_probability=1.0 if forced else los_probability(env, distance_2d(terminal, center)),
@@ -510,7 +503,6 @@ def _direct_link(env: Environment, tx: Point3, rx: Point3, carrier: CarrierConfi
     if d3d == 0.0:
         raise ValueError("tx and rx coincide")
     return _Link(
-        kind="tx_rx",
         env=env,
         forced_los=False,
         los_probability=los_probability(env, distance_2d(tx, rx)),
@@ -620,22 +612,15 @@ def ris_rx_nearfield(
     dist = np.sqrt(dx * dx + y * y + dz * dz)
     gamma = 2.0 * np.pi * np.mod(dist / carrier.wavelength_m, 1.0)
     g = magnitudes * np.exp(-1j * gamma)
-    meta = LinkMetadata(kind="ris_rx", state=LinkState(los=True))
+    meta = LinkMetadata(state=LinkState(los=True))
     return g, meta
 
 
-def select_field_regime(
-    panel: PanelGeometry,
-    rx: Point3,
-    carrier: CarrierConfig,
-    override: Optional[FieldRegime] = None,
-) -> FieldRegime:
+def select_field_regime(panel: PanelGeometry, rx: Point3, carrier: CarrierConfig) -> FieldRegime:
     """Near field iff the panel-center/Rx distance is below N*lambda/2.
 
-    The boundary itself counts as far field. An explicit override wins.
+    The boundary itself counts as far field.
     """
-    if override is not None:
-        return override
     if distance_3d(panel.center, rx) < fraunhofer_distance(panel, carrier):
         return FieldRegime.NEAR_FIELD
     return FieldRegime.FAR_FIELD

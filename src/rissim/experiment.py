@@ -428,17 +428,17 @@ class _PointChannels:
 
     The constructor builds the panel, facing the side of its plane the Tx
     lies on (the Rx's side for a Tx in the plane) with elements half a
-    wavelength apart, selects the RIS-Rx regime and sizes the point's
-    chunks; ``connect`` then computes every stochastic link's constants
-    once. It settles the RIS-Rx side first, so a point whose Rx lies behind
-    the panel (or, in the near field, in its plane) fails before the Tx-RIS
-    link is built and can warn. A near-field point's deterministic
-    magnitudes |g| are computed once, when its first chunk reads
-    ``near_g``. The regime is set before ``connect`` can fail, so a point
-    whose geometry fails still reports it. ``_chunk`` maps the trials of a
-    chunk of connected points; ``trial`` maps one trial alone and adds each
-    link's metadata. Without elements (the no-RIS baseline) ``h`` and ``g``
-    are empty.
+    wavelength apart, takes the RIS-Rx regime (the config's override, else
+    ``select_field_regime``) and sizes the point's chunks; ``connect`` then
+    computes every stochastic link's constants once. It settles the RIS-Rx
+    side first, so a point whose Rx lies behind the panel (or, in the near
+    field, in its plane) fails before the Tx-RIS link is built and can warn.
+    A near-field point's deterministic magnitudes |g| are computed once,
+    when its first chunk reads ``near_g``. The regime is set before
+    ``connect`` can fail, so a point whose geometry fails still reports it.
+    ``_chunk`` maps the trials of a chunk of connected points; ``trial``
+    maps one trial alone and adds each link's metadata. Without elements
+    (the no-RIS baseline) ``h`` and ``g`` are empty.
     """
 
     def __init__(self, config: ExperimentConfig, sweep_index: int, point: SweepPoint):
@@ -457,8 +457,8 @@ class _PointChannels:
                 self.carrier.wavelength_m / 2.0,
                 "-y" if side < 0 else "+y",
             )
-            self.regime = select_field_regime(
-                self.panel, config.rx, self.carrier, config.regime_override
+            self.regime = config.regime_override or select_field_regime(
+                self.panel, config.rx, self.carrier
             )
         self.chunk_trials = _chunk_trials(config.environment, point.n_elements, self.regime)
 
@@ -499,36 +499,35 @@ class _PointChannels:
         return ChannelRealization(
             h=out["tx_ris"][0],
             g=out["ris_rx"][0],
-            g_regime=self.regime,
             h_siso=complex(out["tx_rx"][0]),
             metadata={kind: meta for kind, (_, meta) in out.items()},
         )
 
 
-def _chunk(parts: list) -> _Chunk:
-    """Channels of a chunk whose rows are the given trials of connected points.
+def _chunk(placed: list, trials) -> _Chunk:
+    """Channels of a chunk whose rows are the given trials of every connected point.
 
-    ``parts`` holds ``(point channels, trials)`` pairs of points with equal
-    element count and regime; the chunk's rows are each part's trials in
+    ``placed`` holds the channels of connected points with equal element
+    count and regime; the chunk's rows are each point's ``trials`` in point
     order. Every trial draws from its own RNG streams, whose state words one
     ``_stream_words`` call derives for all rows; each stream of a link the
     point has becomes a ``(link, generator)`` row. Then the Tx-RIS and
     far-field RIS-Rx rows of every point go through one mapping pass per LOS
     state, and the direct rows through another.
     """
-    sizes = [len(trials) for _, trials in parts]
+    count = len(trials)
     words = _stream_words(
-        parts[0][0].config.master_seed,
-        np.repeat([channels.sweep_index for channels, _ in parts], sizes),
-        np.concatenate([np.asarray(trials) for _, trials in parts]),
+        placed[0].config.master_seed,
+        np.repeat([channels.sweep_index for channels in placed], count),
+        np.tile(trials, len(placed)),
     )
     make = _generator_from_words()
     rows = {kind: [] for kind in _STREAMS}
-    for (channels, _), part_words in zip(parts, np.split(words, np.cumsum(sizes)[:-1])):
+    for channels, point_words in zip(placed, words.reshape(len(placed), count, *words.shape[1:])):
         for k, kind in enumerate(_STREAMS):
             link = channels.links[kind]
             if link is not None:
-                rows[kind] += [(link, make(w)) for w in part_words[:, k]]
+                rows[kind] += [(link, make(w)) for w in point_words[:, k]]
     los = dict.fromkeys(_STREAMS)
     los["tx_rx"], h_siso = _Link.generate(rows.pop("tx_rx"))
     n_h = len(rows["tx_ris"])
@@ -542,7 +541,7 @@ def _chunk(parts: list) -> _Chunk:
     if far:
         los["ris_rx"], g = states[n_h:], values[n_h:]
     else:
-        nears = [np.broadcast_to(c.near_g, (len(t), c.panel.n_elements)) for c, t in parts]
+        nears = [np.broadcast_to(c.near_g, (count, c.panel.n_elements)) for c in placed]
         g = nears[0] if len(nears) == 1 else np.concatenate(nears)
     return _Chunk(h, g, h_siso, los)
 
@@ -603,7 +602,7 @@ def _stats(config: ExperimentConfig, placed: list) -> list:
     step = placed[0].chunk_trials
     for start in range(0, trials, step):
         stop = min(start + step, trials)
-        chunk = _chunk([(channels, range(start, stop)) for channels in placed])
+        chunk = _chunk(placed, range(start, stop))
         result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
         rates[:, start:stop] = result.rate_bps_hz.reshape(count, -1)
         snrs[:, start:stop] = result.snr_linear.reshape(count, -1)

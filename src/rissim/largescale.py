@@ -195,9 +195,8 @@ def path_loss_db(
     d3d: float,
     f_c_ghz: float,
     h_ut: float = 1.5,
-    sf_db: float = 0.0,
 ) -> float:
-    """Reference path loss in dB, including the shadow-fading term.
+    """Reference path loss in dB, without shadow fading.
 
     ``h_ut`` is the effective receive antenna height; it only enters the UMi
     NLOS branch. For RIS-terminated links callers pass the panel height minus
@@ -219,7 +218,7 @@ def path_loss_db(
             pl = 22.0 * ld + 28.0 + 20.0 * lf
         else:
             pl = 36.7 * ld + 22.7 + 26.0 * lf - 0.3 * (h_ut - 1.5)
-    return pl + sf_db
+    return pl
 
 
 def lsps_from_normals(params: ScenarioParams, normals: np.ndarray) -> LargeScaleParams:

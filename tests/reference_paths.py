@@ -257,9 +257,7 @@ def _panel_link(kind, env, terminal, panel, carrier, rng, overrides):
     state = assign_link_state(env, d2d, z_ris=center.z, z_tx=terminal.z, rng=rng)
     params = _params(env, state.los, overrides)
     lsps = draw_lsps(params, state.los, rng)
-    pl_db = path_loss_db(
-        env, state.los, d3d, carrier.f_c_ghz, h_ut=center.z - 1.0, sf_db=lsps.sf_db
-    )
+    pl_db = path_loss_db(env, state.los, d3d, carrier.f_c_ghz, h_ut=center.z - 1.0) + lsps.sf_db
     delays = draw_delays(params.cluster_count, params.delay_scaling, lsps.ds_s, rng)
     powers = cluster_powers(
         delays, params.delay_scaling, lsps.ds_s, params.per_cluster_shadowing_db,
@@ -292,7 +290,7 @@ def siso_channel(env, tx, rx, carrier, rng, *, scenario_overrides=None):
     state = LinkState(los=bool(rng.uniform() < los_probability(env, distance_2d(tx, rx))))
     params = _params(env, state.los, scenario_overrides)
     lsps = draw_lsps(params, state.los, rng)
-    pl_db = path_loss_db(env, state.los, d3d, carrier.f_c_ghz, h_ut=rx.z, sf_db=lsps.sf_db)
+    pl_db = path_loss_db(env, state.los, d3d, carrier.f_c_ghz, h_ut=rx.z) + lsps.sf_db
     delays = draw_delays(params.cluster_count, params.delay_scaling, lsps.ds_s, rng)
     powers = cluster_powers(
         delays, params.delay_scaling, lsps.ds_s, params.per_cluster_shadowing_db,
@@ -323,7 +321,7 @@ def trial_channels(config, index, point, trial):
             carrier.wavelength_m / 2.0,
             facing,
         )
-        regime = select_field_regime(panel, config.rx, carrier, config.regime_override)
+        regime = config.regime_override or select_field_regime(panel, config.rx, carrier)
         h, state, _ = tx_ris_channel(config.environment, config.tx, panel, carrier, rng_h)
         los_h = state.los
         if regime.value == "near_field":

@@ -24,6 +24,12 @@ class TestElementGain:
     def test_bounded_by_peak(self, zenith):
         assert 0.0 <= element_gain(zenith) <= element_gain(90.0) + 1e-12
 
+    @pytest.mark.parametrize("zenith", [45.0, [0.0, 90.0, 45.0], [[10.0, 90.0], [137.5, 185.0]]])
+    def test_returns_an_array_shaped_like_its_input(self, zenith):
+        gains = element_gain(zenith)
+        assert isinstance(gains, np.ndarray)
+        assert gains.shape == np.shape(zenith)
+
     def test_vectorized(self):
         gains = element_gain(np.array([0.0, 90.0, 45.0]))
         assert gains.shape == (3,)

@@ -282,9 +282,11 @@ class TestRunExperiment:
         config = small_config(
             n_elements=(0, 16, 1024), ris_y_sweep=(50.0, 40.0), regime_override=None, trials=3
         )
-        serial = run_experiment(config, workers=1)
-        assert forced_pool == []
-        pooled = run_experiment(config, workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = run_experiment(config, workers=1)
+            assert forced_pool == []
+            pooled = run_experiment(config, workers=2)
         assert forced_pool == [2]
         assert pooled.to_csv_text().encode() == serial.to_csv_text().encode()
         assert [row.error for row in pooled.rows] == [row.error for row in serial.rows]
@@ -473,7 +475,7 @@ class TestFastPathMatchesReference:
         budget = LinkBudget.from_dbm(point.p_t_dbm, config.n_0_dbm)
         snrs, los_h, los_siso, mixed = [], [], [], False
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            chunk = experiment._chunk([(channels, range(start, stop))])
+            chunk = experiment._chunk([channels], range(start, stop))
             snrs.extend(evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget).snr_linear)
             link_h = chunk.los["tx_ris"]
             if link_h is not None:
@@ -540,7 +542,7 @@ class TestFastPathMatchesReference:
             channels = _PointChannels(config, index, point).connect()
             for start in range(0, config.trials, channels.chunk_trials):
                 trials = range(start, min(start + channels.chunk_trials, config.trials))
-                chunk = experiment._chunk([(channels, trials)])
+                chunk = experiment._chunk([channels], trials)
                 states = {kind: los for kind, los in chunk.los.items() if los is not None}
                 saw_mixed_chunk |= any(0 < los.sum() < los.size for los in states.values())
                 for row, t in enumerate(trials):
@@ -701,7 +703,7 @@ class TestUnits:
                 assert len(unit) > 1
                 placed = [channels.connect() for channels in unit]
                 trials = range(config.trials)
-                chunk = experiment._chunk([(channels, trials) for channels in placed])
+                chunk = experiment._chunk(placed, trials)
                 states = {kind: los for kind, los in chunk.los.items() if los is not None}
                 saw_mixed |= any(0 < los.sum() < los.size for los in states.values())
                 assert chunk.h.shape[0] == len(unit) * config.trials
@@ -736,7 +738,7 @@ class TestUnits:
         budget = LinkBudget.from_dbm(config.p_t_dbm, config.n_0_dbm)
         trials = range(config.trials)
         for row, channels in zip(rows, unit):
-            chunk = experiment._chunk([(channels, trials)])
+            chunk = experiment._chunk([channels], trials)
             result = evaluate_link(chunk.h, chunk.g, chunk.h_siso, budget)
             mean_snr = float(np.mean(result.snr_linear))
             assert row.index == channels.sweep_index
@@ -831,9 +833,9 @@ class TestChunkWorkingSet:
         channels, _ = self.place(preset, n_elements)
         trials = range(3, 3 + channels.chunk_trials)
         assert len(trials) > 1
-        tiled = experiment._chunk([(channels, trials)])
+        tiled = experiment._chunk([channels], trials)
         monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
-        one_per_tile = experiment._chunk([(channels, trials)])
+        one_per_tile = experiment._chunk([channels], trials)
         np.testing.assert_array_equal(one_per_tile.h, tiled.h)
         np.testing.assert_array_equal(one_per_tile.g, tiled.g)
 
@@ -879,7 +881,7 @@ class TestChunkWorkingSet:
         size = min(trials, unit[0].chunk_trials)
 
         def chunk(first):
-            return experiment._chunk([(c, range(first, first + size)) for c in unit])
+            return experiment._chunk(unit, range(first, first + size))
 
         chunk(0)  # Fill lazy caches before measuring.
         tracemalloc.start()
@@ -1007,9 +1009,11 @@ class TestPoolChoice:
 
     def test_small_preset_sweep_starts_no_pool(self, monkeypatch):
         config = replace(figure_presets()["fig4"], trials=5)
-        serial = run_experiment(config, workers=1)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        stats = run_experiment(config, workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = run_experiment(config, workers=1)
+            monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+            stats = run_experiment(config, workers=2)
         assert stats.to_csv_text() == serial.to_csv_text()
 
     @pytest.mark.parametrize(
@@ -1406,6 +1410,22 @@ class TestDerivedPanel:
         config = small_config(f_c_ghz=5.8)
         channels = _PointChannels(config, 0, config.sweep_points()[0])
         assert channels.panel.spacing == CarrierConfig(5.8).wavelength_m / 2.0
+
+    @pytest.mark.parametrize(
+        "n_elements, override, geometric",
+        [
+            (256, FieldRegime.FAR_FIELD, FieldRegime.NEAR_FIELD),
+            (16, FieldRegime.NEAR_FIELD, FieldRegime.FAR_FIELD),
+        ],
+        ids=["far_at_a_near_rx", "near_at_a_far_rx"],
+    )
+    def test_regime_override_wins_over_the_distance(self, n_elements, override, geometric):
+        config = small_config(n_elements=(n_elements,), regime_override=override, trials=4)
+        channels = _PointChannels(config, 0, config.sweep_points()[0])
+        assert channel.select_field_regime(channels.panel, config.rx, channels.carrier) is geometric
+        assert channels.regime is override
+        (row,) = run_experiment(config).rows
+        assert row.error is None and row.regime == override.value
 
     @pytest.mark.parametrize(
         "tx_y, rx_y, facing", [(25.0, 48.0, "-y"), (75.0, 52.0, "+y")], ids=["tx_below", "tx_above"]

@@ -90,12 +90,6 @@ class TestPathLoss:
             Environment.UMI, False, 100.0, 2.4, h_ut=1.5
         ) == pytest.approx(105.99, abs=0.01)
 
-    def test_shadow_fading_is_additive(self):
-        base = path_loss_db(Environment.INH, False, 20.0, 2.4)
-        assert path_loss_db(Environment.INH, False, 20.0, 2.4, sf_db=3.5) == pytest.approx(
-            base + 3.5
-        )
-
     def test_zero_distance_raises(self):
         with pytest.raises(ValueError):
             path_loss_db(Environment.INH, True, 0.0, 2.4)
